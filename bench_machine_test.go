@@ -3,6 +3,7 @@ package repro_test
 import (
 	"encoding/json"
 	"os"
+	"runtime"
 	"testing"
 
 	"repro"
@@ -59,6 +60,7 @@ func BenchmarkMachineSweep(b *testing.B) {
 	out := map[string]any{
 		"benchmark": "MachineSweep",
 		"workload":  "equake",
+		"cores":     runtime.NumCPU(),
 	}
 	for _, grid := range grids {
 		var directNs, replayNs float64

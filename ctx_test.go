@@ -105,3 +105,32 @@ func TestCompileCtxCancelled(t *testing.T) {
 		t.Fatalf("profile poisoned by cancelled compile: %v", c.ProfileErr)
 	}
 }
+
+// TestCompileCtxDeadlineStopsTraining: the training interpreter polls
+// the compile's context, so a non-terminating training run ends at the
+// deadline instead of at the interpreter's step limit, and the profile
+// cache does not keep the deadline error for the next caller.
+func TestCompileCtxDeadlineStopsTraining(t *testing.T) {
+	const src = `int main(){ while (1) {} }`
+	compile := func() {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		defer cancel()
+		start := time.Now()
+		_, err := repro.CompileCtx(ctx, src, repro.Config{Spec: repro.SpecProfile})
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("CompileCtx = %v, want context.DeadlineExceeded", err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("CompileCtx returned %v after its 100ms deadline", d)
+		}
+	}
+	repro.ResetCaches()
+	compile()
+	// a cached error would be returned without a second training run
+	runs := repro.ProfilingRuns()
+	compile()
+	if got := repro.ProfilingRuns() - runs; got != 1 {
+		t.Errorf("second compile ran %d training runs, want 1 (the deadline error was cached)", got)
+	}
+}

@@ -7,6 +7,7 @@
 package interp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/addrspace"
 	"repro/internal/ir"
 	"repro/internal/profile"
 )
@@ -35,6 +37,9 @@ type Options struct {
 	MaxSteps int64
 	// MaxCallDepth bounds recursion (0 means 10000).
 	MaxCallDepth int
+	// Ctx, if non-nil, cancels the run: it is polled every ctxPollSteps
+	// steps, and a run it stops returns an error wrapping Ctx.Err().
+	Ctx context.Context
 	// Reuse, if non-nil, receives every dynamic memory access for the
 	// Fig. 12 load-reuse limit simulation.
 	Reuse *ReuseSim
@@ -56,6 +61,9 @@ type Result struct {
 // stackCap is the number of slots reserved for the call-stack region
 // between the globals and the heap.
 const stackCap = 1 << 20
+
+// ctxPollSteps is how often, in steps, a run polls Options.Ctx.
+const ctxPollSteps = 1 << 16
 
 // Run executes prog starting at main.
 func Run(prog *ir.Program, opts Options) (*Result, error) {
@@ -82,12 +90,7 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 		}
 		m.prof = opts.Profile
 	}
-	m.mem = make([]uint64, prog.GlobSize+stackCap)
-	for addr, v := range prog.GlobalInit {
-		m.mem[addr] = v
-	}
-	m.stackTop = prog.GlobSize
-	m.heapBase = prog.GlobSize + stackCap
+	m.mem = addrspace.New(prog.GlobSize, stackCap, prog.GlobalInit)
 	m.globals = append([]*ir.Sym(nil), prog.Globals...)
 	sort.Slice(m.globals, func(i, j int) bool { return m.globals[i].Addr < m.globals[j].Addr })
 
@@ -120,16 +123,13 @@ type frame struct {
 }
 
 type machine struct {
-	prog     *ir.Program
-	opts     Options
-	out      io.Writer
-	prof     *profile.Profile
-	mem      []uint64
-	stackTop int
-	heapBase int
-	heapNext int // offset past heapBase
-	heap     []heapObj
-	globals  []*ir.Sym
+	prog    *ir.Program
+	opts    Options
+	out     io.Writer
+	prof    *profile.Profile
+	mem     addrspace.Space
+	heap    []heapObj
+	globals []*ir.Sym
 
 	frames    []*frame
 	callSites []int // active call-site ids for mod/ref attribution
@@ -153,19 +153,15 @@ func (m *machine) callFn(fn *ir.Func, args []uint64) (uint64, error) {
 	}
 	nsyms := len(fn.Syms)
 	m.nextFrameID++
-	fr := &frame{fn: fn, regs: make([]uint64, nsyms), base: m.stackTop, id: m.nextFrameID}
-	if m.stackTop+fn.FrameSize > m.heapBase {
+	base, ok := m.mem.PushFrame(fn.FrameSize)
+	if !ok {
 		return 0, runtimeErr("stack overflow in %s", fn.Name)
 	}
-	// zero the frame memory (stack slots are reused across calls)
-	for i := 0; i < fn.FrameSize; i++ {
-		m.mem[fr.base+i] = 0
-	}
-	m.stackTop += fn.FrameSize
+	fr := &frame{fn: fn, regs: make([]uint64, nsyms), base: base, id: m.nextFrameID}
 	m.frames = append(m.frames, fr)
 	defer func() {
 		m.frames = m.frames[:len(m.frames)-1]
-		m.stackTop = fr.base
+		m.mem.PopFrame(base)
 	}()
 	for i, p := range fn.Params {
 		if i < len(args) {
@@ -178,6 +174,11 @@ func (m *machine) callFn(fn *ir.Func, args []uint64) (uint64, error) {
 		m.steps++
 		if m.steps > m.maxSteps {
 			return 0, runtimeErr("step limit exceeded (%d)", m.maxSteps)
+		}
+		if m.opts.Ctx != nil && m.steps&(ctxPollSteps-1) == 0 {
+			if err := m.opts.Ctx.Err(); err != nil {
+				return 0, fmt.Errorf("interp: %w", err)
+			}
 		}
 		if m.prof != nil && m.opts.CollectEdges {
 			m.prof.BlockCount[b]++
@@ -354,11 +355,7 @@ func (m *machine) execAssign(fr *frame, st *ir.Assign) error {
 		if sz < 0 {
 			return runtimeErr("negative allocation size %d", sz)
 		}
-		start := m.heapBase + m.heapNext
-		m.heapNext += sz
-		for len(m.mem) < m.heapBase+m.heapNext {
-			m.mem = append(m.mem, make([]uint64, 4096)...)
-		}
+		start := m.mem.Alloc(sz)
 		ctx := 0
 		if len(m.callSites) > 0 {
 			ctx = m.callSites[len(m.callSites)-1]
@@ -422,15 +419,16 @@ func (m *machine) execCall(fr *frame, st *ir.Call) error {
 // indirect-reference site id (0 for direct loads, which record through
 // recordDirectRef instead).
 func (m *machine) loadMem(addr int, site int) (uint64, error) {
-	if addr < 0 || addr >= len(m.mem) {
+	if !m.mem.Valid(addr) {
 		return 0, runtimeErr("load from invalid address %d", addr)
 	}
+	val := m.mem.Load(addr)
 	m.loads++
 	if m.opts.Reuse != nil {
-		m.opts.Reuse.access(site, addr, m.mem[addr], false, m.curFrameID())
+		m.opts.Reuse.access(site, addr, val, false, m.curFrameID())
 	}
 	if m.opts.MemTrace != nil {
-		m.opts.MemTrace.append(MemEvent{Site: site, Addr: addr, Val: m.mem[addr], Invocation: m.curFrameID()})
+		m.opts.MemTrace.append(MemEvent{Site: site, Addr: addr, Val: val, Invocation: m.curFrameID()})
 	}
 	if m.prof != nil && m.opts.CollectAlias {
 		// every execution counts toward the site total, even one whose
@@ -449,12 +447,12 @@ func (m *machine) loadMem(addr int, site int) (uint64, error) {
 			}
 		}
 	}
-	return m.mem[addr], nil
+	return val, nil
 }
 
 // storeMem writes a slot through an indirect store site.
 func (m *machine) storeMem(addr int, val uint64, site int) error {
-	if addr < 0 || addr >= len(m.mem) {
+	if !m.mem.Valid(addr) {
 		return runtimeErr("store to invalid address %d", addr)
 	}
 	m.stores++
@@ -478,14 +476,14 @@ func (m *machine) storeMem(addr int, val uint64, site int) error {
 			}
 		}
 	}
-	m.mem[addr] = val
+	m.mem.Store(addr, val)
 	return nil
 }
 
 // storeMemRaw writes a slot for a direct store (no site attribution; the
 // mod set attribution happens in recordDirectRef).
 func (m *machine) storeMemRaw(addr int, val uint64) error {
-	if addr < 0 || addr >= len(m.mem) {
+	if !m.mem.Valid(addr) {
 		return runtimeErr("store to invalid address %d", addr)
 	}
 	m.stores++
@@ -495,7 +493,7 @@ func (m *machine) storeMemRaw(addr int, val uint64) error {
 	if m.opts.MemTrace != nil {
 		m.opts.MemTrace.append(MemEvent{Addr: addr, Val: val, Invocation: m.curFrameID(), Store: true})
 	}
-	m.mem[addr] = val
+	m.mem.Store(addr, val)
 	return nil
 }
 
@@ -549,7 +547,7 @@ func (m *machine) locate(addr int) (profile.Loc, bool) {
 			return profile.Loc{Kind: profile.LocGlobal, Sym: g}, true
 		}
 		return profile.Loc{}, false
-	case addr < m.heapBase:
+	case addr < m.mem.HeapBase():
 		// stack: scan active frames (innermost first)
 		for i := len(m.frames) - 1; i >= 0; i-- {
 			fr := m.frames[i]

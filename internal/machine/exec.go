@@ -6,6 +6,8 @@ import (
 	"io"
 	"math"
 	"strings"
+
+	"repro/internal/addrspace"
 )
 
 // Config tunes the machine model. Zero fields are normalized
@@ -206,10 +208,7 @@ type vm struct {
 	cfg  Config
 	out  io.Writer
 
-	mem      []uint64
-	stackTop int
-	heapBase int
-	heapNext int
+	mem addrspace.Space
 
 	alat *alat
 
@@ -269,12 +268,7 @@ func execute(prog *Program, args []int64, cfg Config, out io.Writer, trace *Trac
 		out = sb
 	}
 	m := &vm{prog: prog, cfg: cfg, out: out, args: args, trace: trace}
-	m.mem = make([]uint64, prog.GlobSize+cfg.StackSlots)
-	for a, v := range prog.GlobalInit {
-		m.mem[a] = v
-	}
-	m.stackTop = prog.GlobSize
-	m.heapBase = prog.GlobSize + cfg.StackSlots
+	m.mem = addrspace.New(prog.GlobSize, cfg.StackSlots, prog.GlobalInit)
 	m.alat = newALAT(cfg.ALATSize)
 
 	mainFn, ok := prog.Funcs["main"]
@@ -312,10 +306,6 @@ func (m *vm) fault(format string, a ...any) error {
 	return fmt.Errorf("machine: %s", fmt.Sprintf(format, a...))
 }
 
-func (m *vm) validAddr(a int) bool {
-	return a >= 0 && a < len(m.mem) && (a < m.heapBase || a < m.heapBase+m.heapNext)
-}
-
 func boolToU64(b bool) uint64 {
 	if b {
 		return 1
@@ -351,7 +341,8 @@ func (m *vm) call(f *FuncCode, args []uint64) (uint64, bool, error) {
 	if m.depth >= m.cfg.MaxCallDepth {
 		return 0, false, m.fault("call depth exceeded in %s", f.Name)
 	}
-	if m.stackTop+f.FrameSize > m.heapBase {
+	base, ok := m.mem.PushFrame(f.FrameSize)
+	if !ok {
 		return 0, false, m.fault("stack overflow in %s", f.Name)
 	}
 	m.depth++
@@ -368,13 +359,8 @@ func (m *vm) call(f *FuncCode, args []uint64) (uint64, bool, error) {
 			m.trace.MaxDepth = m.depth
 		}
 	}
-	base := m.stackTop
-	for i := 0; i < f.FrameSize; i++ {
-		m.mem[base+i] = 0
-	}
-	m.stackTop += f.FrameSize
 	defer func() {
-		m.stackTop = base
+		m.mem.PopFrame(base)
 		m.depth--
 	}()
 	if m.depth > len(m.scratch) {
@@ -539,10 +525,10 @@ func (m *vm) call(f *FuncCode, args []uint64) (uint64, bool, error) {
 
 		case OpLd, OpLdF, OpLdA, OpLdFA:
 			addr := int(int64(regs[ins.Rs]))
-			if !m.validAddr(addr) {
+			if !m.mem.Valid(addr) {
 				return 0, false, m.fault("load from invalid address %d in %s", addr, f.Name)
 			}
-			regs[ins.Rd] = m.mem[addr]
+			regs[ins.Rd] = m.mem.Load(addr)
 			nat[ins.Rd] = false
 			fp := ins.Op == OpLdF || ins.Op == OpLdFA
 			if fp {
@@ -594,10 +580,10 @@ func (m *vm) call(f *FuncCode, args []uint64) (uint64, bool, error) {
 			} else {
 				m.ctr.FailedChecks++
 				fnCtr.FailedChecks++
-				if !m.validAddr(addr) {
+				if !m.mem.Valid(addr) {
 					return 0, false, m.fault("check load from invalid address %d in %s", addr, f.Name)
 				}
-				regs[ins.Rd] = m.mem[addr]
+				regs[ins.Rd] = m.mem.Load(addr)
 				nat[ins.Rd] = false
 				if ins.Op == OpLdFC {
 					lat = int64(m.cfg.FPLoadLat + m.cfg.CheckMissPen)
@@ -612,7 +598,7 @@ func (m *vm) call(f *FuncCode, args []uint64) (uint64, bool, error) {
 			addr := int(int64(regs[ins.Rs]))
 			m.ctr.LoadsRetired++
 			m.ctr.SpecLoads++
-			deferred := !m.validAddr(addr) || nat[ins.Rs]
+			deferred := !m.mem.Valid(addr) || nat[ins.Rs]
 			if m.trace != nil {
 				m.trace.bits.append(deferred)
 			}
@@ -623,7 +609,7 @@ func (m *vm) call(f *FuncCode, args []uint64) (uint64, bool, error) {
 				nat[ins.Rd] = true
 				m.ctr.SpecLoadFaults++
 			} else {
-				regs[ins.Rd] = m.mem[addr]
+				regs[ins.Rd] = m.mem.Load(addr)
 				nat[ins.Rd] = false
 				if ins.Op == OpLdSA || ins.Op == OpLdFSA {
 					m.ctr.AdvLoads++
@@ -653,13 +639,13 @@ func (m *vm) call(f *FuncCode, args []uint64) (uint64, bool, error) {
 
 		case OpSt, OpStF:
 			addr := int(int64(regs[ins.Rd])) // Rd holds the address register
-			if !m.validAddr(addr) {
+			if !m.mem.Valid(addr) {
 				return 0, false, m.fault("store to invalid address %d in %s", addr, f.Name)
 			}
 			if m.trace != nil {
 				m.trace.ops.append(alatOp{kind: opInval, addr: int64(addr), fn: fnID})
 			}
-			m.mem[addr] = regs[ins.Rs]
+			m.mem.Store(addr, regs[ins.Rs])
 			m.alat.invalidate(addr)
 			lat = int64(m.cfg.StoreLat)
 			m.ctr.Stores++
@@ -670,12 +656,7 @@ func (m *vm) call(f *FuncCode, args []uint64) (uint64, bool, error) {
 			if n < 0 {
 				return 0, false, m.fault("negative allocation %d", n)
 			}
-			start := m.heapBase + m.heapNext
-			m.heapNext += n
-			for len(m.mem) < m.heapBase+m.heapNext {
-				m.mem = append(m.mem, make([]uint64, 4096)...)
-			}
-			regs[ins.Rd] = uint64(start)
+			regs[ins.Rd] = uint64(m.mem.Alloc(n))
 
 		case OpBr:
 			m.ctr.Cycles += lat

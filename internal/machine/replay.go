@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"repro/internal/addrspace"
 )
 
 // Replay is the timing engine of the record-and-replay split: it walks
@@ -49,7 +51,7 @@ type replayFrame struct {
 	f       *FuncCode
 	pc      int
 	frameID int64
-	base    int     // stackTop at entry
+	base    int     // frame base address
 	ready   []int64 // pipelined scoreboard (nil under the serial model)
 }
 
@@ -60,10 +62,9 @@ type replayer struct {
 	ops  opReader
 	alat *alat
 
-	frames   []replayFrame
-	stackTop int
-	heapBase int
-	frameID  int64
+	frames  []replayFrame
+	mem     addrspace.Space // frame layout only; replay touches no data
+	frameID int64
 
 	steps int64
 	clock int64
@@ -113,9 +114,8 @@ func Replay(prog *Program, t *Trace, cfg Config, out io.Writer) (*Result, error)
 			bits: bitReader{t: &t.bits},
 			ops:  opReader{t: &t.ops},
 			alat: newALAT(cfg.ALATSize),
+			mem:  addrspace.New(prog.GlobSize, cfg.StackSlots, nil),
 		}
-		r.stackTop = prog.GlobSize
-		r.heapBase = prog.GlobSize + cfg.StackSlots
 		mainFn, ok := prog.Funcs["main"]
 		if !ok {
 			return nil, errors.New("machine: no main function")
@@ -302,12 +302,12 @@ func (r *replayer) push(f *FuncCode) error {
 	if len(r.frames) >= r.cfg.MaxCallDepth {
 		return r.fault("call depth exceeded in %s", f.Name)
 	}
-	if r.stackTop+f.FrameSize > r.heapBase {
+	base, ok := r.mem.PushFrame(f.FrameSize)
+	if !ok {
 		return r.fault("stack overflow in %s", f.Name)
 	}
 	r.frameID++
-	fr := replayFrame{f: f, frameID: r.frameID, base: r.stackTop}
-	r.stackTop += f.FrameSize
+	fr := replayFrame{f: f, frameID: r.frameID, base: base}
 	if r.cfg.Pipelined {
 		r.clock += int64(r.cfg.CallOverhead)
 		fr.ready = make([]int64, f.NumRegs)
@@ -575,7 +575,7 @@ func (r *replayer) walk() error {
 					clock = issueT + 1
 				}
 			}
-			r.stackTop = fr.base
+			r.mem.PopFrame(fr.base)
 			r.frames = r.frames[:len(r.frames)-1]
 			if len(r.frames) == 0 {
 				r.steps = steps

@@ -2,6 +2,8 @@ package machine
 
 import (
 	"fmt"
+
+	"repro/internal/addrspace"
 )
 
 // ReplayBatch re-times one recorded trace under every Config in cfgs,
@@ -137,10 +139,9 @@ type batchWalker struct {
 	clocks []int64 // per-lane pipeline clock
 	issue  []int64 // scratch: per-lane issue time of the current instruction
 
-	frames   []batchFrame
-	stackTop int
-	heapBase int
-	frameID  int64
+	frames  []batchFrame
+	mem     addrspace.Space // frame layout only; replay touches no data
+	frameID int64
 }
 
 // batchWalk runs the shared pipelined walk for cfgs (all pipelined,
@@ -193,8 +194,7 @@ func batchWalk(prog *Program, t *Trace, cfgs []Config) ([]int64, error) {
 	}
 	w.hit = make([]bool, len(w.sums))
 	w.nChecks = t.counts[cCheckInt] + t.counts[cCheckFP]
-	w.stackTop = prog.GlobSize
-	w.heapBase = prog.GlobSize + cfgs[0].StackSlots
+	w.mem = addrspace.New(prog.GlobSize, cfgs[0].StackSlots, nil)
 	mainFn, ok := prog.Funcs["main"]
 	if !ok {
 		return nil, fmt.Errorf("machine: no main function")
@@ -212,12 +212,12 @@ func batchWalk(prog *Program, t *Trace, cfgs []Config) ([]int64, error) {
 // its own call overhead and initializes its scoreboard lanes to its own
 // clock, exactly as the single-config replayer does.
 func (w *batchWalker) push(f *FuncCode) error {
-	if w.stackTop+f.FrameSize > w.heapBase {
+	base, ok := w.mem.PushFrame(f.FrameSize)
+	if !ok {
 		return fmt.Errorf("machine: stack overflow in %s", f.Name)
 	}
 	w.frameID++
-	fr := batchFrame{f: f, frameID: w.frameID, base: w.stackTop}
-	w.stackTop += f.FrameSize
+	fr := batchFrame{f: f, frameID: w.frameID, base: base}
 	k := w.k
 	for i := 0; i < k; i++ {
 		w.clocks[i] += w.callOv[i]
@@ -415,7 +415,7 @@ func (w *batchWalker) walk(cfgs []Config) error {
 					clocks[i] = issue[i] + 1
 				}
 			}
-			w.stackTop = fr.base
+			w.mem.PopFrame(fr.base)
 			w.frames = w.frames[:len(w.frames)-1]
 			if len(w.frames) == 0 {
 				return nil

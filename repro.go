@@ -292,6 +292,7 @@ func profileDataCtx(ctx context.Context, src string, cfg Config) ([]byte, error)
 		prof := profile.New()
 		if _, err := interp.Run(prog, interp.Options{
 			CollectEdges: true, CollectAlias: true, Profile: prof, Args: cfg.ProfileArgs,
+			Ctx: ctx,
 		}); err != nil {
 			return nil, err
 		}
