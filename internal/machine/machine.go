@@ -12,6 +12,7 @@ package machine
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Opcode enumerates VM instructions.
@@ -188,6 +189,10 @@ type Program struct {
 	Funcs      map[string]*FuncCode
 	GlobSize   int
 	GlobalInit map[int]uint64
+
+	// decoded caches the timing program of replay's pipelined walk
+	// (timing.go), built on first replay
+	decoded atomic.Pointer[timingProgram]
 }
 
 // String disassembles the program deterministically (functions sorted by

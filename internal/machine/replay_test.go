@@ -183,6 +183,38 @@ func TestUnmarshalTraceRejectsCorruptInput(t *testing.T) {
 	if _, err := UnmarshalTrace(data[:len(data)/2]); err == nil {
 		t.Error("truncated trace accepted")
 	}
+
+	// header values that disagree with the event streams or overflow
+	// their fields; each used to decode and then crash or mislead replay
+	tc = replayPrograms()["alatLoop"]
+	corrupt := map[string]func(tr *Trace){
+		"check counts zeroed": func(tr *Trace) { tr.counts[cCheckInt], tr.counts[cCheckFP] = 0, 0 },
+		"check counts short":  func(tr *Trace) { tr.counts[cCheckInt]-- },
+		"check counts long":   func(tr *Trace) { tr.counts[cCheckInt]++ },
+		"check kinds swapped": func(tr *Trace) { tr.counts[cCheckInt], tr.counts[cCheckFP] = tr.counts[cCheckFP], tr.counts[cCheckInt] },
+		"negative steps":      func(tr *Trace) { tr.Steps = -1 },
+		"negative depth":      func(tr *Trace) { tr.MaxDepth = -1 },
+		"negative frames":     func(tr *Trace) { tr.Frames = -1 },
+		"negative slots":      func(tr *Trace) { tr.StackSlots = -1 },
+		"negative class":      func(tr *Trace) { tr.counts[cMul] = -1 },
+		"negative stat class": func(tr *Trace) { tr.counts[cAdv] = -1 },
+		"negative bit count":  func(tr *Trace) { tr.bits.n = -1 },
+		"classes past steps":  func(tr *Trace) { tr.counts[cMul] = tr.Steps - tr.counts[cMul] },
+		"class past steps":    func(tr *Trace) { tr.counts[cSpec] = tr.Steps + 1 },
+	}
+	for name, mutate := range corrupt {
+		tr, err := Record(tc.p, tc.args, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(tr)
+		if _, err := UnmarshalTrace(tr.Marshal()); err == nil {
+			t.Errorf("%s: corrupt trace accepted", name)
+		}
+	}
+	if _, err := UnmarshalTrace(tr.Marshal()); err != nil {
+		t.Errorf("intact trace rejected: %v", err)
+	}
 }
 
 // TestReplayFaultParity pins the resource-limit contract: replay under

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 )
@@ -375,18 +376,24 @@ func UnmarshalTrace(data []byte) (*Trace, error) {
 		data = data[n:]
 		return v, true
 	}
+	// count reads a header count: it must survive the cast to int (and
+	// so to int64) without going negative
+	count := func() (int64, bool) {
+		v, ok := uvar()
+		return int64(v), ok && v <= math.MaxInt
+	}
 	t := &Trace{}
 	hdr := []struct {
 		what string
-		dst  func(uint64)
+		dst  func(int64)
 	}{
-		{"steps", func(v uint64) { t.Steps = int64(v) }},
-		{"depth", func(v uint64) { t.MaxDepth = int(v) }},
-		{"frames", func(v uint64) { t.Frames = int64(v) }},
-		{"stack slots", func(v uint64) { t.StackSlots = int(v) }},
+		{"steps", func(v int64) { t.Steps = v }},
+		{"depth", func(v int64) { t.MaxDepth = int(v) }},
+		{"frames", func(v int64) { t.Frames = v }},
+		{"stack slots", func(v int64) { t.StackSlots = int(v) }},
 	}
 	for _, f := range hdr {
-		v, ok := uvar()
+		v, ok := count()
 		if !ok {
 			return bad(f.what)
 		}
@@ -397,12 +404,20 @@ func UnmarshalTrace(data []byte) (*Trace, error) {
 		return bad("ret")
 	}
 	t.Ret = ret
+	// the latency classes partition the retired instructions, so they
+	// sum to at most Steps; the statistics classes overlap them
+	var retired int64
 	for i := range t.counts {
-		v, ok := uvar()
-		if !ok {
+		v, ok := count()
+		if !ok || v > t.Steps {
 			return bad("class counts")
 		}
-		t.counts[i] = int64(v)
+		t.counts[i] = v
+		if i != cSpec && i != cSpecFault && i != cAdv {
+			if retired += v; retired > t.Steps {
+				return bad("class counts exceed steps")
+			}
+		}
 	}
 	outLen, ok := uvar()
 	if !ok || uint64(len(data)) < outLen {
@@ -422,15 +437,15 @@ func UnmarshalTrace(data []byte) (*Trace, error) {
 		t.FnNames = append(t.FnNames, string(data[:nameLen]))
 		data = data[nameLen:]
 	}
-	nbits, ok := uvar()
+	nbits, ok := count()
 	if !ok {
 		return bad("bit count")
 	}
-	words := int((nbits + 63) / 64)
-	if len(data) < words*8 {
+	words := int(nbits/64 + min(nbits%64, 1))
+	if len(data)/8 < words {
 		return bad("bit words")
 	}
-	t.bits.n = int64(nbits)
+	t.bits.n = nbits
 	for i := 0; i < words; i++ {
 		if i%bitChunkWords == 0 {
 			t.bits.chunks = append(t.bits.chunks, make([]uint64, bitChunkWords))
@@ -443,6 +458,7 @@ func UnmarshalTrace(data []byte) (*Trace, error) {
 		return bad("op count")
 	}
 	var prevFrame int64
+	var checks [2]int64 // int, fp
 	for i := uint64(0); i < nops; i++ {
 		if len(data) == 0 {
 			return bad("op kind")
@@ -469,7 +485,15 @@ func UnmarshalTrace(data []byte) (*Trace, error) {
 		if !ok || fn >= uint64(len(t.FnNames)) {
 			return bad("op fn")
 		}
+		if kind == opCheckInt || kind == opCheckFP {
+			checks[kind-opCheckInt]++
+		}
 		t.ops.append(alatOp{kind: kind, reg: int32(reg), frameID: prevFrame, addr: addr, fn: int32(fn)})
+	}
+	// the check ordinals of the replay walks index per-check outcome
+	// streams sized from these counts
+	if checks[0] != t.counts[cCheckInt] || checks[1] != t.counts[cCheckFP] {
+		return bad("check events disagree with class counts")
 	}
 	return t, nil
 }

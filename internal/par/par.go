@@ -12,15 +12,40 @@
 //     Workers=1 the determinism oracle for the parallel paths;
 //   - with N > 1 workers, items are claimed from an atomic counter, all
 //     results land at their input index, and the returned error is the
-//     one the serial loop would have returned (lowest failing index).
+//     one the serial loop would have returned (lowest failing index);
+//   - an item that panics fails with a *PanicError instead of taking
+//     the process down, on a worker goroutine or inline alike.
 package par
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
+
+// PanicError is the error of an item whose function panicked: the
+// panic value and the stack of the panicking goroutine.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("par: item panicked: %v\n%s", e.Value, e.Stack)
+}
+
+// run calls fn(i), turning a panic into a *PanicError.
+func run(fn func(i int) error, i int) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return fn(i)
+}
 
 // Workers resolves a worker-count configuration value: anything <= 0
 // means one worker per core (GOMAXPROCS).
@@ -63,7 +88,7 @@ func EachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(i); err != nil {
+			if err := run(fn, i); err != nil {
 				return err
 			}
 		}
@@ -87,7 +112,7 @@ func EachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 				if i >= n {
 					return
 				}
-				errs[i] = fn(i)
+				errs[i] = run(fn, i)
 			}
 		}()
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -179,5 +180,38 @@ func TestEachCtxBackgroundMatchesEach(t *testing.T) {
 	}
 	if a.Load() != b.Load() {
 		t.Fatalf("sums differ: %d vs %d", a.Load(), b.Load())
+	}
+}
+
+// TestEachContainsPanics pins that a panicking item fails like an
+// ordinary error, carrying the panic value and the stack: inline, the
+// serial loop stops at it; on workers, every other index still runs.
+func TestEachContainsPanics(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		const n = 20
+		var ran [n]atomic.Int64
+		err := Each(workers, n, func(i int) error {
+			ran[i].Add(1)
+			if i == 5 {
+				panic("boom at 5")
+			}
+			return nil
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: err = %v, want a *PanicError", workers, err)
+		}
+		if pe.Value != "boom at 5" || !strings.Contains(string(pe.Stack), "TestEachContainsPanics") {
+			t.Errorf("workers=%d: panic value %v, stack:\n%s", workers, pe.Value, pe.Stack)
+		}
+		for i := range ran {
+			want := int64(1)
+			if workers == 1 && i > 5 {
+				want = 0
+			}
+			if got := ran[i].Load(); got != want {
+				t.Errorf("workers=%d: index %d ran %d times, want %d", workers, i, got, want)
+			}
+		}
 	}
 }
