@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"runtime"
@@ -13,7 +14,7 @@ import (
 )
 
 // The machine-engine benchmarks: direct re-execution vs record-and-
-// replay for a RunSensitivity-style multi-config sweep. The tentpole
+// replay for a RunSensitivityCtx-style multi-config sweep. The tentpole
 // claim is that an N-config sweep costs ~1 functional run + N cheap
 // re-timings, so the "replay" variant (which pays for its recording
 // inside the timed region every iteration) should still beat "direct"
@@ -28,7 +29,7 @@ func sweepTarget(b *testing.B) (*machine.Program, []int64) {
 	if !ok {
 		b.Fatal("equake not registered")
 	}
-	c, err := repro.Compile(w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs})
+	c, err := repro.CompileCtx(context.Background(), w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func sweepTarget(b *testing.B) (*machine.Program, []int64) {
 // BenchmarkMachineSweep times one sweep grid per iteration, as direct
 // re-execution and as record + replay, and emits BENCH_machine.json
 // with the per-sweep costs and speedups. Two grids are measured:
-// "serial" is the 12-config serial-model grid — the RunSensitivity
+// "serial" is the 12-config serial-model grid — the RunSensitivityCtx
 // shape, where replay takes the O(events) aggregate path — and "mixed"
 // is the full 24-config MachineSweepConfigs grid whose pipelined half
 // needs the per-instruction scoreboard walk.
@@ -101,7 +102,7 @@ func BenchmarkMachineSweep(b *testing.B) {
 		}
 	}
 
-	// the headline number is the RunSensitivity-shaped serial grid; the
+	// the headline number is the RunSensitivityCtx-shaped serial grid; the
 	// mixed grid is reported alongside
 	b.ReportMetric(speedups["serial"], "serial_sweep_speedup")
 	b.ReportMetric(speedups["mixed"], "mixed_sweep_speedup")
@@ -122,14 +123,14 @@ func BenchmarkEvaluate(b *testing.B) {
 	if !ok {
 		b.Fatal("equake not registered")
 	}
-	c, err := repro.Compile(w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs})
+	c, err := repro.CompileCtx(context.Background(), w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs})
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfgs := experiments.MachineSweepConfigs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Evaluate(w.RefArgs, cfgs, 0); err != nil {
+		if _, err := c.EvaluateCtx(context.Background(), w.RefArgs, cfgs, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -148,7 +149,7 @@ func BenchmarkReuseLimitSharded(b *testing.B) {
 	}{{"serial", 1}, {"sharded", 0}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := repro.ReuseLimitWorkers(w.Src, w.RefArgs, bc.workers); err != nil {
+				if _, err := repro.ReuseLimitWorkersCtx(context.Background(), w.Src, w.RefArgs, bc.workers); err != nil {
 					b.Fatal(err)
 				}
 			}

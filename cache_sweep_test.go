@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,7 +19,7 @@ import (
 // persistent, and at any worker count.
 
 // TestSweepProfilesOncePerPair asserts via the cache counters that a
-// cold RunAll performs one profiling interpreter run per workload (all
+// cold RunAllCtx performs one profiling interpreter run per workload (all
 // four config variants of a workload share one run), and that repeating
 // the sweep performs none.
 func TestSweepProfilesOncePerPair(t *testing.T) {
@@ -33,7 +34,7 @@ func TestSweepProfilesOncePerPair(t *testing.T) {
 	repro.ResetCaches()
 	runs0 := repro.ProfilingRuns()
 	stats0 := repro.CacheStats()
-	if _, err := experiments.RunAllWorkers(8); err != nil {
+	if _, err := experiments.RunAllCtx(context.Background(), 8); err != nil {
 		t.Fatal(err)
 	}
 	n := uint64(len(workloads.All()))
@@ -46,7 +47,7 @@ func TestSweepProfilesOncePerPair(t *testing.T) {
 	}
 	// a second sweep in the same process is fully memoized
 	runs1 := repro.ProfilingRuns()
-	if _, err := experiments.RunAllWorkers(8); err != nil {
+	if _, err := experiments.RunAllCtx(context.Background(), 8); err != nil {
 		t.Fatal(err)
 	}
 	if got := repro.ProfilingRuns() - runs1; got != 0 {
@@ -72,7 +73,7 @@ func TestWarmStartSkipsProfiling(t *testing.T) {
 		}
 	}()
 	repro.ResetCaches()
-	cold, err := experiments.RunOneWorkers(w, 2)
+	cold, err := experiments.RunOneCtx(context.Background(), w, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestWarmStartSkipsProfiling(t *testing.T) {
 	runs0 := repro.ProfilingRuns()
 	stats0 := repro.CacheStats()
 	repro.ResetCaches() // "new process": memory tier gone, disk tier stays
-	warm, err := experiments.RunOneWorkers(w, 2)
+	warm, err := experiments.RunOneCtx(context.Background(), w, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestReportByteIdenticalAcrossCacheModes(t *testing.T) {
 	render := func(name string, workers int) string {
 		t.Helper()
 		var b strings.Builder
-		if err := experiments.ReportWorkers(&b, workers); err != nil {
+		if err := experiments.ReportCtx(context.Background(), &b, workers); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		return b.String()

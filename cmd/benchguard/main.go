@@ -1,28 +1,27 @@
-// Command benchguard is the CI perf gate. It compares two freshly
-// generated benchmark artifacts against their committed baselines and
-// exits non-zero on a regression beyond the allowed fraction:
+// Command benchguard is the CI perf gate. It compares freshly generated
+// benchmark artifacts against their committed baselines and exits
+// non-zero on a regression beyond the allowed fraction.
 //
-//   - BENCH_machine.json: the per-grid replay-sweep speedups must not
-//     DROP by more than the margin;
-//   - BENCH_compile.json: the compile path's allocs_per_compile and
-//     ns_per_compile must not RISE by more than the margin;
-//   - BENCH_fleet.json: the cold and warm 1-vs-2-worker fleet sweep
-//     speedups must not DROP by more than the margin. Fleet speedups
-//     are core-count-bound (the file records "cores"), so the gate
-//     only compares runs against a baseline generated on the same CI
-//     runner class;
-//   - BENCH_adaptive.json: the adaptive tiering run's end-to-end
-//     speedups over the fixed-aggressive and fixed-conservative
-//     policies must not DROP by more than the margin. These are
-//     deterministic simulated-cycle ratios, not wall clock, so any
-//     drift at all is a behaviour change worth looking at;
-//   - BENCH_harden.json: the per-(workload, policy) leaky-over-hardened
-//     cycle ratios must not DROP by more than the margin — a drop means
-//     the mitigation pass got more expensive (more fences, or fences
-//     where checks used to hoist). Also deterministic simulated-cycle
-//     ratios.
+// One rule table names every guarded key, whatever the file:
 //
-// Single-pass CI benchmark numbers are noisy, so the default margin is
+//   - "speedup" inside every top-level object, higher is better: a fresh
+//     value below baseline·(1−margin) fails, and so does an object the
+//     fresh file lost. This covers BENCH_machine.json's per-grid
+//     replay-sweep speedups, BENCH_fleet.json's cold and warm 1-vs-2
+//     worker sweep speedups, BENCH_adaptive.json's speedups over the
+//     two fixed policies, and BENCH_harden.json's per-(workload, policy)
+//     leaky-over-hardened cycle ratios;
+//   - top-level "allocs_per_compile" and "ns_per_compile"
+//     (BENCH_compile.json), lower is better: a fresh value above
+//     baseline·(1+margin) fails.
+//
+// Fleet speedups are core-count-bound (the file records "cores"), so
+// that gate only compares runs against a baseline generated on the same
+// CI runner class. The adaptive and harden ratios are deterministic
+// simulated cycles, so any drift at all is a behaviour change worth
+// looking at.
+//
+// Single-pass CI benchmark numbers are noisy, so the margin is
 // deliberately wide (25%); the guarded quantities sit far inside it on
 // any runner, and only a real algorithmic regression (e.g. the batched
 // replay walk falling back to per-config replays, or a per-site
@@ -31,166 +30,123 @@
 //
 // Usage:
 //
-//	benchguard -baseline BENCH_machine.baseline.json -fresh BENCH_machine.json \
-//	    [-compile-baseline BENCH_compile.baseline.json -compile-fresh BENCH_compile.json] \
-//	    [-fleet-baseline BENCH_fleet.baseline.json -fleet-fresh BENCH_fleet.json] \
-//	    [-adaptive-baseline BENCH_adaptive.baseline.json -adaptive-fresh BENCH_adaptive.json] \
-//	    [-harden-baseline BENCH_harden.baseline.json -harden-fresh BENCH_harden.json] \
-//	    [-max-regress 0.25]
+//	benchguard BASELINE FRESH [BASELINE FRESH ...]
+//
+// It exits 0 when every guarded key holds, 1 on a regression, and 2
+// when a file is unreadable, is not JSON, or carries no guarded key.
 package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"os"
+	"sort"
 )
 
-func main() {
-	baselinePath := flag.String("baseline", "", "committed BENCH_machine.json to compare against")
-	freshPath := flag.String("fresh", "BENCH_machine.json", "freshly generated BENCH_machine.json")
-	compileBaselinePath := flag.String("compile-baseline", "", "committed BENCH_compile.json to compare against (empty = skip the compile guard)")
-	compileFreshPath := flag.String("compile-fresh", "BENCH_compile.json", "freshly generated BENCH_compile.json")
-	fleetBaselinePath := flag.String("fleet-baseline", "", "committed BENCH_fleet.json to compare against (empty = skip the fleet guard)")
-	fleetFreshPath := flag.String("fleet-fresh", "BENCH_fleet.json", "freshly generated BENCH_fleet.json")
-	adaptiveBaselinePath := flag.String("adaptive-baseline", "", "committed BENCH_adaptive.json to compare against (empty = skip the adaptive guard)")
-	adaptiveFreshPath := flag.String("adaptive-fresh", "BENCH_adaptive.json", "freshly generated BENCH_adaptive.json")
-	hardenBaselinePath := flag.String("harden-baseline", "", "committed BENCH_harden.json to compare against (empty = skip the harden guard)")
-	hardenFreshPath := flag.String("harden-fresh", "BENCH_harden.json", "freshly generated BENCH_harden.json")
-	maxRegress := flag.Float64("max-regress", 0.25, "maximum allowed fractional regression (0.25 = 25%)")
-	flag.Parse()
-	if *baselinePath == "" && *compileBaselinePath == "" && *fleetBaselinePath == "" && *adaptiveBaselinePath == "" && *hardenBaselinePath == "" {
-		fmt.Fprintln(os.Stderr, "benchguard: -baseline, -compile-baseline, -fleet-baseline, -adaptive-baseline, or -harden-baseline is required")
-		os.Exit(2)
-	}
+// maxRegress is the allowed fractional regression (0.25 = 25%).
+const maxRegress = 0.25
 
+// rule is one guarded key of the table.
+type rule struct {
+	// key names the guarded number: a top-level field, or, when nested,
+	// the field inside every top-level object.
+	key    string
+	nested bool
+	// higherBetter picks the direction: a drop below baseline·(1−margin)
+	// fails when set, a rise above baseline·(1+margin) otherwise.
+	higherBetter bool
+}
+
+var rules = []rule{
+	{key: "speedup", nested: true, higherBetter: true},
+	{key: "allocs_per_compile"},
+	{key: "ns_per_compile"},
+}
+
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run gates each (baseline, fresh) pair in order and returns the exit
+// code.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 || len(args)%2 != 0 {
+		fmt.Fprintln(stderr, "usage: benchguard BASELINE FRESH [BASELINE FRESH ...]")
+		return 2
+	}
 	failed := false
-	if *baselinePath != "" {
-		ok, err := guardSpeedups(*baselinePath, *freshPath, *maxRegress)
+	for i := 0; i < len(args); i += 2 {
+		ok, err := guard(stdout, args[i], args[i+1])
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-			os.Exit(2)
-		}
-		failed = failed || !ok
-	}
-	if *compileBaselinePath != "" {
-		ok, err := guardCompile(*compileBaselinePath, *compileFreshPath, *maxRegress)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-			os.Exit(2)
-		}
-		failed = failed || !ok
-	}
-	if *fleetBaselinePath != "" {
-		// BENCH_fleet.json has the same per-grid shape as
-		// BENCH_machine.json ("cold"/"warm" objects with a "speedup"),
-		// so the sweep guard applies verbatim: higher is better, a drop
-		// beyond the margin fails.
-		ok, err := guardSpeedups(*fleetBaselinePath, *fleetFreshPath, *maxRegress)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-			os.Exit(2)
-		}
-		failed = failed || !ok
-	}
-	if *adaptiveBaselinePath != "" {
-		// BENCH_adaptive.json carries its headline ratios in the same
-		// object-with-"speedup" shape ("adaptive_vs_aggressive" /
-		// "adaptive_vs_conservative"), so the sweep guard applies:
-		// higher is better, a drop beyond the margin fails.
-		ok, err := guardSpeedups(*adaptiveBaselinePath, *adaptiveFreshPath, *maxRegress)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-			os.Exit(2)
-		}
-		failed = failed || !ok
-	}
-	if *hardenBaselinePath != "" {
-		// BENCH_harden.json's per-(workload, policy) cells carry the
-		// leaky-over-hardened cycle ratio in the same "speedup" shape, so
-		// the sweep guard applies: a drop means hardening got costlier.
-		ok, err := guardSpeedups(*hardenBaselinePath, *hardenFreshPath, *maxRegress)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "benchguard: %v\n", err)
+			return 2
 		}
 		failed = failed || !ok
 	}
 	if failed {
-		fmt.Println("benchguard: benchmark regressed beyond the allowed margin")
-		os.Exit(1)
+		fmt.Fprintln(stdout, "benchguard: benchmark regressed beyond the allowed margin")
+		return 1
 	}
+	return 0
 }
 
-// guardSpeedups fails any grid whose fresh replay-sweep speedup fell
-// below baseline·(1−margin). Higher is better here.
-func guardSpeedups(baselinePath, freshPath string, margin float64) (bool, error) {
-	base, err := loadSpeedups(baselinePath)
+// guard compares every guarded value of the baseline file against the
+// fresh file and prints one line per value.
+func guard(w io.Writer, baselinePath, freshPath string) (bool, error) {
+	base, err := load(baselinePath)
 	if err != nil {
 		return false, err
 	}
-	fresh, err := loadSpeedups(freshPath)
+	fresh, err := load(freshPath)
 	if err != nil {
 		return false, err
 	}
 	ok := true
-	for grid, baseSpeedup := range base {
-		freshSpeedup, found := fresh[grid]
-		if !found {
-			fmt.Printf("FAIL %-8s baseline %.3fx but grid missing from fresh results\n", grid, baseSpeedup)
-			ok = false
-			continue
+	for i, r := range rules {
+		names := make([]string, 0, len(base[i]))
+		for name := range base[i] {
+			names = append(names, name)
 		}
-		floor := baseSpeedup * (1 - margin)
-		status := "ok"
-		if freshSpeedup < floor {
-			status = "FAIL"
-			ok = false
+		sort.Strings(names)
+		for _, name := range names {
+			baseV := base[i][name]
+			freshV, found := fresh[i][name]
+			switch {
+			case !found && r.higherBetter:
+				fmt.Fprintf(w, "FAIL %-8s baseline %.3fx but grid missing from fresh results\n", name, baseV)
+				ok = false
+			case !found:
+				fmt.Fprintf(w, "FAIL %-18s baseline %.1f but value missing from fresh results\n", name, baseV)
+				ok = false
+			case r.higherBetter:
+				floor := baseV * (1 - maxRegress)
+				status := "ok"
+				if freshV < floor {
+					status = "FAIL"
+					ok = false
+				}
+				fmt.Fprintf(w, "%-4s %-8s baseline %.3fx  fresh %.3fx  floor %.3fx\n",
+					status, name, baseV, freshV, floor)
+			default:
+				ceiling := baseV * (1 + maxRegress)
+				status := "ok"
+				if freshV > ceiling {
+					status = "FAIL"
+					ok = false
+				}
+				fmt.Fprintf(w, "%-4s %-18s baseline %12.1f  fresh %12.1f  ceiling %12.1f\n",
+					status, name, baseV, freshV, ceiling)
+			}
 		}
-		fmt.Printf("%-4s %-8s baseline %.3fx  fresh %.3fx  floor %.3fx\n",
-			status, grid, baseSpeedup, freshSpeedup, floor)
 	}
 	return ok, nil
 }
 
-// compileGuardKeys are the BENCH_compile.json quantities the gate
-// watches. Lower is better for both, so the guard inverts: a fresh
-// value above baseline·(1+margin) fails.
-var compileGuardKeys = []string{"allocs_per_compile", "ns_per_compile"}
-
-func guardCompile(baselinePath, freshPath string, margin float64) (bool, error) {
-	base, err := loadCompileStats(baselinePath)
-	if err != nil {
-		return false, err
-	}
-	fresh, err := loadCompileStats(freshPath)
-	if err != nil {
-		return false, err
-	}
-	ok := true
-	for _, key := range compileGuardKeys {
-		baseV, freshV := base[key], fresh[key]
-		if freshV == 0 {
-			fmt.Printf("FAIL %-18s baseline %.1f but value missing from fresh results\n", key, baseV)
-			ok = false
-			continue
-		}
-		ceiling := baseV * (1 + margin)
-		status := "ok"
-		if freshV > ceiling {
-			status = "FAIL"
-			ok = false
-		}
-		fmt.Printf("%-4s %-18s baseline %12.1f  fresh %12.1f  ceiling %12.1f\n",
-			status, key, baseV, freshV, ceiling)
-	}
-	return ok, nil
-}
-
-// loadSpeedups extracts the per-grid replay-sweep speedups from a
-// BENCH_machine.json file (the "speedup" field of every object-valued
-// top-level entry, i.e. the "serial" and "mixed" grids).
-func loadSpeedups(path string) (map[string]float64, error) {
+// load reads the guarded values of one benchmark file, one map per rule
+// (keyed by the top-level object name for nested rules, by the key
+// itself otherwise). Only positive numbers count.
+func load(path string) ([]map[string]float64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -199,41 +155,27 @@ func loadSpeedups(path string) (map[string]float64, error) {
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	out := map[string]float64{}
-	for key, v := range raw {
-		grid, ok := v.(map[string]any)
-		if !ok {
-			continue
+	out := make([]map[string]float64, len(rules))
+	n := 0
+	for i, r := range rules {
+		out[i] = map[string]float64{}
+		if !r.nested {
+			if v, ok := raw[r.key].(float64); ok && v > 0 {
+				out[i][r.key] = v
+			}
+		} else {
+			for name, v := range raw {
+				if obj, ok := v.(map[string]any); ok {
+					if s, ok := obj[r.key].(float64); ok && s > 0 {
+						out[i][name] = s
+					}
+				}
+			}
 		}
-		if s, ok := grid["speedup"].(float64); ok && s > 0 {
-			out[key] = s
-		}
+		n += len(out[i])
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("%s: no per-grid speedups found", path)
-	}
-	return out, nil
-}
-
-// loadCompileStats reads the guarded scalar fields of a
-// BENCH_compile.json file.
-func loadCompileStats(path string) (map[string]float64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var raw map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	out := map[string]float64{}
-	for _, key := range compileGuardKeys {
-		if v, ok := raw[key].(float64); ok && v > 0 {
-			out[key] = v
-		}
-	}
-	if len(out) != len(compileGuardKeys) {
-		return nil, fmt.Errorf("%s: missing compile stats (want %v)", path, compileGuardKeys)
+	if n == 0 {
+		return nil, fmt.Errorf("%s: no guarded key found", path)
 	}
 	return out, nil
 }

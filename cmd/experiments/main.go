@@ -63,6 +63,7 @@ import (
 func main() { cli.Main("experiments", run) }
 
 func run() error {
+	ctx := context.Background()
 	exp := flag.String("exp", "all", "experiment to run: all|smvp|fig10|fig11|fig12|heur|sensitivity|ablation|machine|threshold|adaptive|harden|eval|corpus")
 	workload := flag.String("workload", "equake", "workload for -exp eval")
 	evalArgs := flag.String("args", "", "comma-separated program input for -exp eval (default: the workload's reference input)")
@@ -105,16 +106,16 @@ func run() error {
 	var err error
 	switch *exp {
 	case "all":
-		err = experiments.ReportWorkers(os.Stdout, *workers)
+		err = experiments.ReportCtx(ctx, os.Stdout, *workers)
 	case "smvp":
 		var s experiments.Smvp
-		s, err = experiments.RunSmvpWorkers(*workers)
+		s, err = experiments.RunSmvpCtx(ctx, *workers)
 		if err == nil {
 			experiments.PrintSmvp(os.Stdout, s)
 		}
 	case "fig10", "fig11", "fig12", "heur":
 		var rows []experiments.Row
-		rows, err = experiments.RunAllWorkers(*workers)
+		rows, err = experiments.RunAllCtx(ctx, *workers)
 		if err == nil {
 			switch *exp {
 			case "fig10":
@@ -129,7 +130,7 @@ func run() error {
 		}
 	case "sensitivity":
 		var rows []experiments.Sensitivity
-		rows, err = experiments.RunSensitivityWorkers(*workers)
+		rows, err = experiments.RunSensitivityCtx(ctx, *workers)
 		if err == nil {
 			experiments.PrintSensitivity(os.Stdout, rows)
 		}
@@ -141,7 +142,7 @@ func run() error {
 		// per kernel, one cheap replay per grid point)
 		for _, name := range []string{"equake", "mcf"} {
 			var points []experiments.MachinePoint
-			points, err = experiments.RunMachineSweepWorkers(name, *workers)
+			points, err = experiments.RunMachineSweepCtx(ctx, name, nil, *workers)
 			if err != nil {
 				break
 			}
@@ -153,7 +154,7 @@ func run() error {
 		// threshold θ on the input-sensitive kernels, one evaluation per
 		// distinct build through the trace-replay path
 		var sweeps []experiments.ThresholdSweep
-		sweeps, err = experiments.RunThresholdSweeps(*workers)
+		sweeps, err = experiments.RunThresholdSweepsCtx(ctx, *workers)
 		if err == nil && *jsonOut {
 			var data []byte
 			data, err = experiments.MarshalThresholdSweeps(sweeps)
@@ -174,7 +175,7 @@ func run() error {
 		// training profile, let the tier ladder demote and re-promote,
 		// and compare total cycles against both fixed extremes
 		var res *experiments.AdaptiveResult
-		res, err = experiments.RunAdaptiveCtx(context.Background(), *workers)
+		res, err = experiments.RunAdaptiveCtx(ctx, *workers)
 		if err == nil && *jsonOut {
 			var data []byte
 			data, err = experiments.MarshalAdaptive(res)
@@ -192,7 +193,7 @@ func run() error {
 		// (BENCH_harden.json); any undetected seed or residual leak is an
 		// error, so the run doubles as the hardening smoke gate
 		var res *experiments.HardenResult
-		res, err = experiments.RunHardenCtx(context.Background(), *workers)
+		res, err = experiments.RunHardenCtx(ctx, *workers)
 		if err == nil && *jsonOut {
 			var data []byte
 			data, err = experiments.MarshalHarden(res)
@@ -319,16 +320,16 @@ func writeMemProfile(path string) error {
 }
 
 // verifyPasses mirrors -verify-passes for the ablation sweep's direct
-// repro.Compile calls (the table experiments go through
+// repro.CompileCtx calls (the table experiments go through
 // experiments.SetVerifyPasses instead).
 var verifyPasses bool
 
-// compile wraps repro.Compile and refuses a compilation whose training
+// compile wraps repro.CompileCtx and refuses a compilation whose training
 // run faulted (the silent StaticEstimate fallback would skew the
 // ablation numbers).
 func compile(src string, cfg repro.Config) (*repro.Compilation, error) {
 	cfg.VerifyPasses = verifyPasses
-	c, err := repro.Compile(src, cfg)
+	c, err := repro.CompileCtx(context.Background(), src, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -367,7 +368,7 @@ func ablation(out *os.File, workers int) error {
 			if err != nil {
 				return err
 			}
-			res, err := comp.Run(w.RefArgs)
+			res, err := comp.RunCtx(context.Background(), w.RefArgs)
 			if err != nil {
 				return err
 			}
@@ -384,7 +385,7 @@ func ablation(out *os.File, workers int) error {
 			if err != nil {
 				return err
 			}
-			res, err := comp.Run(w.RefArgs)
+			res, err := comp.RunCtx(context.Background(), w.RefArgs)
 			if err != nil {
 				return err
 			}

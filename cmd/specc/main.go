@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -116,7 +117,7 @@ func run() error {
 		return cli.Usagef("bad -args: %v", err)
 	}
 
-	c, err := repro.Compile(string(src), cfg)
+	c, err := repro.CompileCtx(context.Background(), string(src), cfg)
 	if err != nil {
 		return err
 	}
@@ -139,7 +140,7 @@ func run() error {
 	if !*doRun {
 		return nil
 	}
-	res, err := c.Run(args)
+	res, err := c.RunCtx(context.Background(), args)
 	if err != nil {
 		return fmt.Errorf("run: %w", err)
 	}

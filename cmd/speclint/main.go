@@ -28,6 +28,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -142,7 +143,7 @@ func run() error {
 				VerifyPasses: true,
 			}
 			checked++
-			_, err := repro.Compile(u.src, cfg)
+			_, err := repro.CompileCtx(context.Background(), u.src, cfg)
 			if err == nil {
 				continue
 			}
@@ -189,7 +190,7 @@ func runLeaks(units []leakUnit, modes []repro.SpecMode, pol string, sched bool, 
 				Workers:     workers,
 			}
 			checked++
-			c, err := repro.Compile(u.src, cfg)
+			c, err := repro.CompileCtx(context.Background(), u.src, cfg)
 			if err != nil {
 				return fmt.Errorf("%s (spec=%s): %w", u.name, mode, err)
 			}

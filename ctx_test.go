@@ -27,7 +27,7 @@ func TestEvaluateCtxCancelMidSweep(t *testing.T) {
 		t.Fatal("workload equake not registered")
 	}
 	cfg := repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs}
-	c, err := repro.Compile(w.Src, cfg)
+	c, err := repro.CompileCtx(context.Background(), w.Src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestCompileCtxCancelled(t *testing.T) {
 		t.Fatalf("CompileCtx with cancelled ctx = %v, want context.Canceled", err)
 	}
 	// and the cancellation did not poison the cache for the next caller
-	c, err := repro.Compile(w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs})
+	c, err := repro.CompileCtx(context.Background(), w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,5 +132,44 @@ func TestCompileCtxDeadlineStopsTraining(t *testing.T) {
 	compile()
 	if got := repro.ProfilingRuns() - runs; got != 1 {
 		t.Errorf("second compile ran %d training runs, want 1 (the deadline error was cached)", got)
+	}
+}
+
+// TestReferenceRunsHonorDeadline: the reference interpreter and the
+// reuse-limit simulation (inline and sharded) poll their context, so a
+// non-terminating program ends at the deadline instead of at the
+// interpreter's step limit.
+func TestReferenceRunsHonorDeadline(t *testing.T) {
+	const src = `int main(){ while (1) {} }`
+	c, err := repro.CompileCtx(context.Background(), src, repro.Config{OptimizeOff: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := map[string]func(ctx context.Context) error{
+		"RunReferenceCtx": func(ctx context.Context) error {
+			_, err := c.RunReferenceCtx(ctx, nil)
+			return err
+		},
+		"ReuseLimitWorkersCtx/1": func(ctx context.Context) error {
+			_, err := repro.ReuseLimitWorkersCtx(ctx, src, nil, 1)
+			return err
+		},
+		"ReuseLimitWorkersCtx/2": func(ctx context.Context) error {
+			_, err := repro.ReuseLimitWorkersCtx(ctx, src, nil, 2)
+			return err
+		},
+	}
+	for name, run := range runs {
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+			defer cancel()
+			start := time.Now()
+			if err := run(ctx); !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("%s = %v, want context.DeadlineExceeded", name, err)
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Errorf("%s returned %v after its 100ms deadline", name, d)
+			}
+		})
 	}
 }

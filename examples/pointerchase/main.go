@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,11 +23,11 @@ func main() {
 
 	var baseCycles int64
 	for _, mode := range []repro.SpecMode{repro.SpecOff, repro.SpecProfile, repro.SpecHeuristic} {
-		c, err := repro.Compile(w.Src, repro.Config{Spec: mode, ProfileArgs: w.ProfileArgs})
+		c, err := repro.CompileCtx(context.Background(), w.Src, repro.Config{Spec: mode, ProfileArgs: w.ProfileArgs})
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := c.Run(w.RefArgs)
+		res, err := c.RunCtx(context.Background(), w.RefArgs)
 		if err != nil {
 			log.Fatal(err)
 		}

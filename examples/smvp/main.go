@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -16,7 +17,7 @@ import (
 )
 
 func main() {
-	s, err := experiments.RunSmvp()
+	s, err := experiments.RunSmvpCtx(context.Background(), 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -24,7 +25,7 @@ func main() {
 
 	// also show the transformed inner loop
 	w, _ := workloads.ByName("equake")
-	c, err := repro.Compile(w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs})
+	c, err := repro.CompileCtx(context.Background(), w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs})
 	if err != nil {
 		log.Fatal(err)
 	}

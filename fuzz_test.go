@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -277,7 +278,7 @@ func TestFuzzEquivalence(t *testing.T) {
 		for ci, cfg := range configs {
 			cfg.ProfileArgs = []int64{3}
 			cfg.VerifyPasses = true
-			c, err := repro.Compile(src, cfg)
+			c, err := repro.CompileCtx(context.Background(), src, cfg)
 			if err != nil {
 				t.Fatalf("seed %d cfg %d: compile: %v\n%s", seed, ci, err, src)
 			}
@@ -305,7 +306,7 @@ func TestFuzzEquivalence(t *testing.T) {
 				}
 			}
 			for _, input := range []int64{0, 3, 41} {
-				got, err := c.Run([]int64{input})
+				got, err := c.RunCtx(context.Background(), []int64{input})
 				if err != nil {
 					t.Fatalf("seed %d cfg %d input %d: run: %v\n%s", seed, ci, input, err, src)
 				}
@@ -347,7 +348,7 @@ func TestFuzzBatchedReplay(t *testing.T) {
 	cfgQ := &quick.Config{MaxCount: count}
 	err := quick.Check(func(seed int64) bool {
 		src := newProgGen(seed).generate()
-		c, err := repro.Compile(src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: []int64{3}})
+		c, err := repro.CompileCtx(context.Background(), src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: []int64{3}})
 		if err != nil {
 			t.Fatalf("seed %d: compile: %v\n%s", seed, err, src)
 		}
@@ -470,7 +471,7 @@ func TestSpecheckNearMiss(t *testing.T) {
 			for ci, cfg := range modes {
 				cfg.ProfileArgs = []int64{2}
 				cfg.VerifyPasses = true
-				c, err := repro.Compile(p.src, cfg)
+				c, err := repro.CompileCtx(context.Background(), p.src, cfg)
 				if err != nil {
 					t.Fatalf("cfg %d: %v", ci, err)
 				}
@@ -479,7 +480,7 @@ func TestSpecheckNearMiss(t *testing.T) {
 					if err != nil {
 						t.Fatalf("reference(%d): %v", input, err)
 					}
-					got, err := c.Run([]int64{input})
+					got, err := c.RunCtx(context.Background(), []int64{input})
 					if err != nil {
 						t.Fatalf("cfg %d input %d: %v", ci, input, err)
 					}
@@ -577,7 +578,7 @@ func TestLeakNearMiss(t *testing.T) {
 			for ci, cfg := range modes {
 				cfg.ProfileArgs = []int64{2}
 				cfg.VerifyPasses = true
-				c, err := repro.Compile(p.src, cfg)
+				c, err := repro.CompileCtx(context.Background(), p.src, cfg)
 				if err != nil {
 					t.Fatalf("cfg %d: %v", ci, err)
 				}
@@ -585,7 +586,7 @@ func TestLeakNearMiss(t *testing.T) {
 				if err != nil {
 					t.Fatalf("reference: %v", err)
 				}
-				got, err := c.Run([]int64{9})
+				got, err := c.RunCtx(context.Background(), []int64{9})
 				if err != nil {
 					t.Fatalf("cfg %d: run: %v", ci, err)
 				}
@@ -654,7 +655,7 @@ int main() {
 	return 0;
 }`, size, size, rng.Intn(size), rng.Intn(size), rng.Intn(size), rng.Intn(size), rng.Intn(size))
 		trainMode := int64(pick % 2)
-		c, err := repro.Compile(src, repro.Config{
+		c, err := repro.CompileCtx(context.Background(), src, repro.Config{
 			Spec: repro.SpecProfile, ProfileArgs: []int64{trainMode, 6},
 		})
 		if err != nil {
@@ -666,7 +667,7 @@ int main() {
 			if err != nil {
 				t.Fatalf("reference: %v", err)
 			}
-			got, err := c.Run(args)
+			got, err := c.RunCtx(context.Background(), args)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}

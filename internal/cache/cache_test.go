@@ -30,7 +30,7 @@ func TestMemoizeBytes(t *testing.T) {
 	c := New(0)
 	computes := 0
 	get := func() ([]byte, error) {
-		return c.GetBytes(keyN(1), func() ([]byte, error) {
+		return c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
 			computes++
 			return []byte("value"), nil
 		})
@@ -55,7 +55,7 @@ func TestErrorsMemoized(t *testing.T) {
 	computes := 0
 	boom := errors.New("boom")
 	for i := 0; i < 2; i++ {
-		_, err := c.GetBytes(keyN(1), func() ([]byte, error) {
+		_, err := c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
 			computes++
 			return nil, boom
 		})
@@ -79,7 +79,7 @@ func TestSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := c.GetBytes(keyN(7), func() ([]byte, error) {
+			v, err := c.GetBytesCtx(context.Background(), keyN(7), func() ([]byte, error) {
 				computes++ // safe: only one goroutine may get here
 				<-release
 				return []byte("shared"), nil
@@ -97,21 +97,22 @@ func TestSingleflight(t *testing.T) {
 }
 
 func TestEvictionFIFO(t *testing.T) {
+	ctx := context.Background()
 	c := New(2)
 	for i := 0; i < 3; i++ {
-		c.GetBytes(keyN(i), func() ([]byte, error) { return []byte{byte(i)}, nil })
+		c.GetBytesCtx(ctx, keyN(i), func() ([]byte, error) { return []byte{byte(i)}, nil })
 	}
 	if got := c.Stats().Evictions; got != 1 {
 		t.Fatalf("evictions = %d, want 1", got)
 	}
 	// key 0 was evicted: a re-get recomputes
 	recomputed := false
-	c.GetBytes(keyN(0), func() ([]byte, error) { recomputed = true; return nil, nil })
+	c.GetBytesCtx(ctx, keyN(0), func() ([]byte, error) { recomputed = true; return nil, nil })
 	if !recomputed {
 		t.Fatal("oldest entry should have been evicted")
 	}
 	// key 2 survived
-	c.GetBytes(keyN(2), func() ([]byte, error) {
+	c.GetBytesCtx(ctx, keyN(2), func() ([]byte, error) {
 		t.Fatal("newest entry should still be resident")
 		return nil, nil
 	})
@@ -123,7 +124,7 @@ func TestDiskWarmStartAcrossInstances(t *testing.T) {
 	if err := c1.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	v, err := c1.GetBytes(keyN(1), func() ([]byte, error) { return []byte("persisted"), nil })
+	v, err := c1.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) { return []byte("persisted"), nil })
 	if err != nil || string(v) != "persisted" {
 		t.Fatalf("store: %q, %v", v, err)
 	}
@@ -133,7 +134,7 @@ func TestDiskWarmStartAcrossInstances(t *testing.T) {
 	if err := c2.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	v, err = c2.GetBytes(keyN(1), func() ([]byte, error) {
+	v, err = c2.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
 		t.Fatal("warm start must not recompute")
 		return nil, nil
 	})
@@ -147,6 +148,7 @@ func TestDiskWarmStartAcrossInstances(t *testing.T) {
 }
 
 func TestCorruptEntriesRecomputed(t *testing.T) {
+	ctx := context.Background()
 	payload := []byte(`{"version":1,"blocks":{"main:B0":1}}`)
 	corruptions := map[string]func([]byte) []byte{
 		"truncated":       func(b []byte) []byte { return b[:len(b)/2] },
@@ -162,7 +164,7 @@ func TestCorruptEntriesRecomputed(t *testing.T) {
 			if err := c1.SetDir(dir); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c1.GetBytes(keyN(1), func() ([]byte, error) { return payload, nil }); err != nil {
+			if _, err := c1.GetBytesCtx(ctx, keyN(1), func() ([]byte, error) { return payload, nil }); err != nil {
 				t.Fatal(err)
 			}
 			path := c1.diskPath(c1.Dir(), keyN(1))
@@ -179,7 +181,7 @@ func TestCorruptEntriesRecomputed(t *testing.T) {
 				t.Fatal(err)
 			}
 			recomputed := false
-			v, err := c2.GetBytes(keyN(1), func() ([]byte, error) { recomputed = true; return payload, nil })
+			v, err := c2.GetBytesCtx(ctx, keyN(1), func() ([]byte, error) { recomputed = true; return payload, nil })
 			if err != nil {
 				t.Fatalf("corruption must never surface as an error: %v", err)
 			}
@@ -194,7 +196,7 @@ func TestCorruptEntriesRecomputed(t *testing.T) {
 			if err := c3.SetDir(dir); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c3.GetBytes(keyN(1), func() ([]byte, error) {
+			if _, err := c3.GetBytesCtx(ctx, keyN(1), func() ([]byte, error) {
 				t.Fatal("repaired entry should load from disk")
 				return nil, nil
 			}); err != nil {
@@ -205,6 +207,7 @@ func TestCorruptEntriesRecomputed(t *testing.T) {
 }
 
 func TestDisabledBypassesAllTiers(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	c := New(0)
 	if err := c.SetDir(dir); err != nil {
@@ -213,7 +216,7 @@ func TestDisabledBypassesAllTiers(t *testing.T) {
 	c.SetEnabled(false)
 	computes := 0
 	for i := 0; i < 2; i++ {
-		c.GetBytes(keyN(1), func() ([]byte, error) { computes++; return []byte("x"), nil })
+		c.GetBytesCtx(ctx, keyN(1), func() ([]byte, error) { computes++; return []byte("x"), nil })
 	}
 	if computes != 2 {
 		t.Fatalf("computes = %d, want 2 while disabled", computes)
@@ -223,8 +226,8 @@ func TestDisabledBypassesAllTiers(t *testing.T) {
 		t.Fatalf("disabled cache wrote %d files", len(files))
 	}
 	c.SetEnabled(true)
-	c.GetBytes(keyN(1), func() ([]byte, error) { computes++; return []byte("x"), nil })
-	c.GetBytes(keyN(1), func() ([]byte, error) { computes++; return []byte("x"), nil })
+	c.GetBytesCtx(ctx, keyN(1), func() ([]byte, error) { computes++; return []byte("x"), nil })
+	c.GetBytesCtx(ctx, keyN(1), func() ([]byte, error) { computes++; return []byte("x"), nil })
 	if computes != 3 {
 		t.Fatalf("computes = %d, want 3 after re-enable", computes)
 	}
@@ -237,7 +240,7 @@ func TestObjectTierIsMemoryOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	type big struct{ n int }
-	v, err := c.GetObject(keyN(3), func() (any, error) { return &big{42}, nil })
+	v, err := c.GetObjectCtx(context.Background(), keyN(3), func() (any, error) { return &big{42}, nil })
 	if err != nil || v.(*big).n != 42 {
 		t.Fatalf("%v, %v", v, err)
 	}
@@ -245,7 +248,7 @@ func TestObjectTierIsMemoryOnly(t *testing.T) {
 	if len(files) != 0 {
 		t.Fatalf("object entries must not be persisted, found %d files", len(files))
 	}
-	v2, _ := c.GetObject(keyN(3), func() (any, error) {
+	v2, _ := c.GetObjectCtx(context.Background(), keyN(3), func() (any, error) {
 		t.Fatal("must be memoized")
 		return nil, nil
 	})
@@ -260,9 +263,9 @@ func TestResetDropsMemoryKeepsDisk(t *testing.T) {
 	if err := c.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	c.GetBytes(keyN(1), func() ([]byte, error) { return []byte("v"), nil })
+	c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) { return []byte("v"), nil })
 	c.Reset()
-	v, err := c.GetBytes(keyN(1), func() ([]byte, error) {
+	v, err := c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
 		t.Fatal("reset must not clear the persistent tier")
 		return nil, nil
 	})
@@ -291,7 +294,7 @@ func TestConcurrentMixed(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				k := i % 8
 				want := fmt.Sprintf("v%d", k)
-				v, err := c.GetBytes(keyN(k), func() ([]byte, error) {
+				v, err := c.GetBytesCtx(context.Background(), keyN(k), func() ([]byte, error) {
 					return []byte(fmt.Sprintf("v%d", k)), nil
 				})
 				if err != nil || string(v) != want {
@@ -301,7 +304,7 @@ func TestConcurrentMixed(t *testing.T) {
 				if g%4 == 0 && i%25 == 24 {
 					c.Reset()
 				}
-				if _, err := c.GetObject(keyN(100+k), func() (any, error) { return k, nil }); err != nil {
+				if _, err := c.GetObjectCtx(context.Background(), keyN(100+k), func() (any, error) { return k, nil }); err != nil {
 					t.Errorf("object: %v", err)
 					return
 				}
@@ -338,7 +341,7 @@ func TestSharedDirTwoInstancesConcurrent(t *testing.T) {
 			go func(c *Cache) {
 				defer wg.Done()
 				for n := 0; n < keys; n++ {
-					got, err := c.GetBytes(keyN(n), func() ([]byte, error) {
+					got, err := c.GetBytesCtx(context.Background(), keyN(n), func() ([]byte, error) {
 						return value(n), nil
 					})
 					if err != nil {
@@ -368,7 +371,7 @@ func TestSharedDirTwoInstancesConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for n := 0; n < keys; n++ {
-		got, err := c3.GetBytes(keyN(n), func() ([]byte, error) {
+		got, err := c3.GetBytesCtx(context.Background(), keyN(n), func() ([]byte, error) {
 			return nil, errors.New("must not recompute: entry should be on disk")
 		})
 		if err != nil || !bytes.Equal(got, value(n)) {
@@ -389,7 +392,7 @@ func TestPruneOldestFirst(t *testing.T) {
 	// three 1KiB-payload entries with distinct mtimes, oldest first
 	var paths []string
 	for n := 0; n < 3; n++ {
-		if _, err := c.GetBytes(keyN(n), func() ([]byte, error) {
+		if _, err := c.GetBytesCtx(context.Background(), keyN(n), func() ([]byte, error) {
 			return bytes.Repeat([]byte{byte(n)}, 1024), nil
 		}); err != nil {
 			t.Fatal(err)
@@ -435,7 +438,7 @@ func TestPruneOldestFirst(t *testing.T) {
 	if err := c2.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c2.GetBytes(keyN(0), func() ([]byte, error) {
+	if _, err := c2.GetBytesCtx(context.Background(), keyN(0), func() ([]byte, error) {
 		return []byte("recomputed"), nil
 	}); err != nil {
 		t.Fatal(err)
@@ -479,7 +482,7 @@ func TestCtxWaiterCancelled(t *testing.T) {
 	computing := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		c.GetBytes(keyN(1), func() ([]byte, error) {
+		c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
 			close(computing)
 			<-release
 			return []byte("slow"), nil
@@ -505,7 +508,7 @@ func TestCtxWaiterCancelled(t *testing.T) {
 	}
 	close(release)
 	// the owner's value is memoized normally
-	v, err := c.GetBytes(keyN(1), func() ([]byte, error) {
+	v, err := c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
 		return nil, errors.New("must be memoized")
 	})
 	if err != nil || string(v) != "slow" {
@@ -528,7 +531,7 @@ func TestCtxErrorNotMemoized(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	v, err := c.GetBytes(keyN(1), func() ([]byte, error) {
+	v, err := c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
 		return []byte("fresh"), nil
 	})
 	if err != nil || string(v) != "fresh" {
@@ -536,8 +539,8 @@ func TestCtxErrorNotMemoized(t *testing.T) {
 	}
 	// real errors stay memoized (the existing contract)
 	boom := errors.New("boom")
-	c.GetBytes(keyN(2), func() ([]byte, error) { return nil, boom })
-	_, err = c.GetBytes(keyN(2), func() ([]byte, error) {
+	c.GetBytesCtx(context.Background(), keyN(2), func() ([]byte, error) { return nil, boom })
+	_, err = c.GetBytesCtx(context.Background(), keyN(2), func() ([]byte, error) {
 		return nil, errors.New("must not recompute")
 	})
 	if !errors.Is(err, boom) {
@@ -553,7 +556,7 @@ func TestPanicDoesNotDeadlockWaiters(t *testing.T) {
 	started := make(chan struct{})
 	go func() {
 		defer func() { recover() }()
-		c.GetBytes(keyN(1), func() ([]byte, error) {
+		c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
 			close(started)
 			// give the waiter time to block on ready
 			time.Sleep(50 * time.Millisecond)
@@ -564,7 +567,7 @@ func TestPanicDoesNotDeadlockWaiters(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		v, err := c.GetBytes(keyN(1), func() ([]byte, error) {
+		v, err := c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
 			return []byte("recovered"), nil
 		})
 		if err != nil || string(v) != "recovered" {
@@ -584,6 +587,7 @@ func TestPanicDoesNotDeadlockWaiters(t *testing.T) {
 // value — never a corrupted read — and with a budget generous enough
 // to keep every entry, pruning loses nothing.
 func TestPruneConcurrentReaders(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	const nkeys = 24
 	value := func(i int) []byte { return []byte(fmt.Sprintf("payload-%d-%s", i, string(make([]byte, 64)))) }
@@ -594,7 +598,7 @@ func TestPruneConcurrentReaders(t *testing.T) {
 	}
 	var total int64
 	for i := 0; i < nkeys; i++ {
-		v, err := seed.GetBytes(keyN(i), func() ([]byte, error) { return value(i), nil })
+		v, err := seed.GetBytesCtx(ctx, keyN(i), func() ([]byte, error) { return value(i), nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -640,7 +644,7 @@ func TestPruneConcurrentReaders(t *testing.T) {
 			for iter := 0; iter < 50; iter++ {
 				for i := 0; i < nkeys; i++ {
 					i := i
-					v, err := c.GetBytes(keyN(i), func() ([]byte, error) { return value(i), nil })
+					v, err := c.GetBytesCtx(ctx, keyN(i), func() ([]byte, error) { return value(i), nil })
 					if err != nil {
 						t.Errorf("get key %d: %v", i, err)
 						return
@@ -669,7 +673,7 @@ func TestPruneConcurrentReaders(t *testing.T) {
 	}
 	for i := 0; i < nkeys; i++ {
 		i := i
-		v, err := final.GetBytes(keyN(i), func() ([]byte, error) { return value(i), nil })
+		v, err := final.GetBytesCtx(ctx, keyN(i), func() ([]byte, error) { return value(i), nil })
 		if err != nil || !bytes.Equal(v, value(i)) {
 			t.Fatalf("final read key %d: %q, %v", i, v, err)
 		}
@@ -691,7 +695,7 @@ func TestPruneGenerousBudgetLosesNothing(t *testing.T) {
 	const nkeys = 16
 	for i := 0; i < nkeys; i++ {
 		i := i
-		if _, err := c.GetBytes(keyN(i), func() ([]byte, error) { return []byte(fmt.Sprintf("v%d", i)), nil }); err != nil {
+		if _, err := c.GetBytesCtx(context.Background(), keyN(i), func() ([]byte, error) { return []byte(fmt.Sprintf("v%d", i)), nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -718,7 +722,7 @@ func TestPruneGenerousBudgetLosesNothing(t *testing.T) {
 	}
 	for iter := 0; iter < 30; iter++ {
 		for i := 0; i < nkeys; i++ {
-			v, err := reader.GetBytes(keyN(i), func() ([]byte, error) {
+			v, err := reader.GetBytesCtx(context.Background(), keyN(i), func() ([]byte, error) {
 				return nil, fmt.Errorf("entry %d lost under generous budget", i)
 			})
 			if err != nil {
@@ -746,7 +750,7 @@ func TestDiskHitRefreshesMtime(t *testing.T) {
 	hot, cold := keyN(1), keyN(2)
 	for _, k := range []Key{hot, cold} {
 		k := k
-		if _, err := c.GetBytes(k, func() ([]byte, error) { return []byte("xxxxxxxx"), nil }); err != nil {
+		if _, err := c.GetBytesCtx(context.Background(), k, func() ([]byte, error) { return []byte("xxxxxxxx"), nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -759,7 +763,7 @@ func TestDiskHitRefreshesMtime(t *testing.T) {
 		}
 	}
 	c.Reset()
-	if _, err := c.GetBytes(hot, func() ([]byte, error) { return nil, fmt.Errorf("lost") }); err != nil {
+	if _, err := c.GetBytesCtx(context.Background(), hot, func() ([]byte, error) { return nil, fmt.Errorf("lost") }); err != nil {
 		t.Fatal(err)
 	}
 	// Prune to a budget that keeps exactly one entry: the cold one goes.

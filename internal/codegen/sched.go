@@ -7,11 +7,12 @@ import (
 	"repro/internal/par"
 )
 
-// Schedule performs latency-driven list scheduling inside each basic block
-// of an (out-of-SSA) function — the "instruction scheduling" client of the
-// paper's Fig. 3. Loads are issued as early as their dependences allow so
-// that their latency overlaps with independent work; the pipelined VM
-// timing model (machine.Config.Pipelined) rewards the overlap.
+// ScheduleWorkers performs latency-driven list scheduling inside each
+// basic block of an (out-of-SSA) function — the "instruction scheduling"
+// client of the paper's Fig. 3. Loads are issued as early as their
+// dependences allow so that their latency overlaps with independent
+// work; the pipelined VM timing model (machine.Config.Pipelined) rewards
+// the overlap.
 //
 // The scheduler is conservative about memory: stores act as barriers
 // against other memory operations (the speculative load-vs-store
@@ -19,13 +20,10 @@ import (
 // higher level by speculative PRE, which removes or hoists the loads
 // outright). Calls and prints are full barriers. Register dependences
 // (flow, anti, output) are honoured exactly.
-func Schedule(prog *ir.Program) {
-	ScheduleWorkers(prog, 0)
-}
-
-// ScheduleWorkers schedules with at most workers functions in flight
-// (0 = all cores, 1 = serial). Scheduling touches only the function's own
-// blocks, so the result is independent of the worker count.
+//
+// At most workers functions are scheduled at once (0 = all cores,
+// 1 = serial). Scheduling touches only the function's own blocks, so the
+// result is independent of the worker count.
 func ScheduleWorkers(prog *ir.Program, workers int) {
 	par.Each(workers, len(prog.Funcs), func(i int) error {
 		alat := alatTemps(prog.Funcs[i])

@@ -119,23 +119,6 @@ func AliasProb(count, total uint64) float64 {
 	return float64(count) / float64(total)
 }
 
-// AssignFlags walks every chi/mu list in the program and sets the Spec
-// flags according to the mode, using the default machine model's policy
-// for ModeCost. For ModeProfile and ModeCost, prof supplies the LOC
-// multisets collected by the alias-profiling interpreter run; profiled
-// LOCs that the compile-time lists miss are added as flagged entries (the
-// paper's "if any member of its profiled LOC set is not in its chi list,
-// add the member using chi_s").
-func AssignFlags(prog *ir.Program, ar *alias.Result, prof *profile.Profile, mode Mode) {
-	AssignFlagsPolicy(prog, ar, prof, mode, DefaultPolicy())
-}
-
-// AssignFlagsPolicy is AssignFlags with an explicit expected-cost policy
-// (consulted only by ModeCost).
-func AssignFlagsPolicy(prog *ir.Program, ar *alias.Result, prof *profile.Profile, mode Mode, pol Policy) {
-	AssignFlagsTiered(prog, ar, prof, mode, pol, nil)
-}
-
 // FnOverride re-tiers one function: its chi/mu flags are assigned under
 // its own mode and policy instead of the program-wide ones. This is the
 // compile-side half of adaptive tiering — flag assignment is purely a
@@ -148,9 +131,16 @@ type FnOverride struct {
 	Policy Policy
 }
 
-// AssignFlagsTiered is AssignFlagsPolicy with per-function overrides
-// (keyed by function name; functions absent from the map use the
-// program-wide mode and policy).
+// AssignFlagsTiered walks every chi/mu list in the program and sets the
+// Spec flags according to the mode. pol is the expected-cost policy,
+// consulted only by ModeCost (DefaultPolicy is the default machine
+// model's). For ModeProfile and ModeCost, prof supplies the LOC
+// multisets collected by the alias-profiling interpreter run; profiled
+// LOCs that the compile-time lists miss are added as flagged entries (the
+// paper's "if any member of its profiled LOC set is not in its chi list,
+// add the member using chi_s"). overrides re-tiers functions by name;
+// functions absent from the map (or all of them, when it is nil) use
+// the program-wide mode and policy.
 func AssignFlagsTiered(prog *ir.Program, ar *alias.Result, prof *profile.Profile, mode Mode, pol Policy, overrides map[string]FnOverride) {
 	for _, f := range prog.Funcs {
 		fnMode, fnPol := mode, pol
@@ -168,8 +158,8 @@ func assignFlagsFunc(f *ir.Func, ar *alias.Result, prof *profile.Profile, mode M
 			switch t := st.(type) {
 			case *ir.Assign:
 				if t.RK == ir.RHSLoad && t.Site != 0 {
-					locs := locsFor(prof, mode, t.Site, false)
-					total := siteTotal(prof, mode, t.Site)
+					locs := LocsFor(prof, mode, t.Site, false)
+					total := SiteTotalFor(prof, mode, t.Site)
 					fp := t.LoadsFrom != nil && t.LoadsFrom.IsFloat()
 					flagMus(f, t.Mus, locs, total, ar, mode, pol, fp)
 					t.Mus = addMissingMus(f, t.Mus, locs, total, ar, mode, pol, fp)
@@ -187,8 +177,8 @@ func assignFlagsFunc(f *ir.Func, ar *alias.Result, prof *profile.Profile, mode M
 				}
 			case *ir.IStore:
 				if t.Site != 0 {
-					locs := locsFor(prof, mode, t.Site, true)
-					total := siteTotal(prof, mode, t.Site)
+					locs := LocsFor(prof, mode, t.Site, true)
+					total := SiteTotalFor(prof, mode, t.Site)
 					fp := t.StoresTo != nil && t.StoresTo.IsFloat()
 					flagChis(f, t.Chis, locs, total, ar, mode, pol, fp)
 					t.Chis = addMissingChis(f, t.Chis, locs, total, ar, mode, pol, fp)
@@ -205,7 +195,7 @@ func assignFlagsFunc(f *ir.Func, ar *alias.Result, prof *profile.Profile, mode M
 					var total uint64
 					if prof != nil {
 						mod, ref = prof.CallMod[t.Site], prof.CallRef[t.Site]
-						total = siteTotal(prof, mode, t.Site)
+						total = SiteTotalFor(prof, mode, t.Site)
 					}
 					flagChis(f, t.Chis, mod, total, ar, mode, pol, false)
 					t.Chis = addMissingChis(f, t.Chis, mod, total, ar, mode, pol, false)
@@ -225,40 +215,12 @@ func assignFlagsFunc(f *ir.Func, ar *alias.Result, prof *profile.Profile, mode M
 	}
 }
 
-// LocsFor fetches the profiled LOC set AssignFlags consults for a
+// LocsFor fetches the profiled LOC set AssignFlagsTiered consults for a
 // reference site (nil when no profile applies). Exported for the
 // speculation-soundness checker (internal/specheck), which re-derives the
 // expected flag of every chi/mu and compares it against what the pipeline
 // actually assigned.
 func LocsFor(prof *profile.Profile, mode Mode, site int, isStore bool) profile.LocSet {
-	return locsFor(prof, mode, site, isStore)
-}
-
-// SiteTotalFor fetches the site-execution total AssignFlags consults for
-// a reference site (0 unless ModeCost with a counted profile). Exported
-// for internal/specheck (see LocsFor).
-func SiteTotalFor(prof *profile.Profile, mode Mode, site int) uint64 {
-	return siteTotal(prof, mode, site)
-}
-
-// SymFlag reports the speculation flag AssignFlags would give one chi/mu
-// symbol at a site with the given profiled LOC set, execution total and
-// policy (the latter two consulted only by ModeCost; fp selects the
-// floating-point cost terms). Exported for internal/specheck (see
-// LocsFor).
-func SymFlag(f *ir.Func, sym *ir.Sym, locs profile.LocSet, total uint64, ar *alias.Result, mode Mode, pol Policy, fp bool) bool {
-	return symFlag(f, sym, locs, total, ar, mode, pol, fp)
-}
-
-// SymLoc builds the profile LOC naming a program variable in function f
-// (exported for internal/specheck's flag re-derivation).
-func SymLoc(f *ir.Func, sym *ir.Sym) profile.Loc {
-	return symLoc(f, sym)
-}
-
-// locsFor fetches the profiled LOC set for a reference site, or nil when
-// no profile applies.
-func locsFor(prof *profile.Profile, mode Mode, site int, isStore bool) profile.LocSet {
 	if !mode.ProfileGuided() || prof == nil {
 		return nil
 	}
@@ -268,9 +230,11 @@ func locsFor(prof *profile.Profile, mode Mode, site int, isStore bool) profile.L
 	return prof.LoadLocs[site]
 }
 
-// siteTotal fetches the dynamic execution count of a reference site, or 0
-// when the mode does not use counts (or the profile predates them).
-func siteTotal(prof *profile.Profile, mode Mode, site int) uint64 {
+// SiteTotalFor fetches the dynamic execution count of a reference site
+// that AssignFlagsTiered consults, or 0 when the mode does not use counts
+// (or the profile predates them). Exported for internal/specheck (see
+// LocsFor).
+func SiteTotalFor(prof *profile.Profile, mode Mode, site int) uint64 {
 	if mode != ModeCost || prof == nil {
 		return 0
 	}
@@ -286,18 +250,22 @@ func siteTotal(prof *profile.Profile, mode Mode, site int) uint64 {
 // syntax-tree rule is applied during the walk).
 func flagChis(f *ir.Func, chis []*ir.Chi, locs profile.LocSet, total uint64, ar *alias.Result, mode Mode, pol Policy, fp bool) {
 	for _, chi := range chis {
-		chi.Spec = symFlag(f, chi.Sym, locs, total, ar, mode, pol, fp)
+		chi.Spec = SymFlag(f, chi.Sym, locs, total, ar, mode, pol, fp)
 	}
 }
 
 func flagMus(f *ir.Func, mus []*ir.Mu, locs profile.LocSet, total uint64, ar *alias.Result, mode Mode, pol Policy, fp bool) {
 	for _, mu := range mus {
-		mu.Spec = symFlag(f, mu.Sym, locs, total, ar, mode, pol, fp)
+		mu.Spec = SymFlag(f, mu.Sym, locs, total, ar, mode, pol, fp)
 	}
 }
 
-// symFlag decides the speculation flag for one chi/mu symbol.
-func symFlag(f *ir.Func, sym *ir.Sym, locs profile.LocSet, total uint64, ar *alias.Result, mode Mode, pol Policy, fp bool) bool {
+// SymFlag reports the speculation flag AssignFlagsTiered gives one chi/mu
+// symbol at a site with the given profiled LOC set, execution total and
+// policy (the latter two consulted only by ModeCost; fp selects the
+// floating-point cost terms). Exported for internal/specheck (see
+// LocsFor).
+func SymFlag(f *ir.Func, sym *ir.Sym, locs profile.LocSet, total uint64, ar *alias.Result, mode Mode, pol Policy, fp bool) bool {
 	switch mode {
 	case ModeNone:
 		return true
@@ -354,7 +322,7 @@ func addMissingChis(f *ir.Func, chis []*ir.Chi, locs profile.LocSet, total uint6
 		sym := ar.LocToSym(f, loc)
 		if sym != nil && !have[sym] {
 			have[sym] = true
-			chis = append(chis, &ir.Chi{Sym: sym, Spec: symFlag(f, sym, locs, total, ar, mode, pol, fp)})
+			chis = append(chis, &ir.Chi{Sym: sym, Spec: SymFlag(f, sym, locs, total, ar, mode, pol, fp)})
 		}
 	}
 	return chis
@@ -375,7 +343,7 @@ func addMissingMus(f *ir.Func, mus []*ir.Mu, locs profile.LocSet, total uint64, 
 		sym := ar.LocToSym(f, loc)
 		if sym != nil && !have[sym] {
 			have[sym] = true
-			mus = append(mus, &ir.Mu{Sym: sym, Spec: symFlag(f, sym, locs, total, ar, mode, pol, fp)})
+			mus = append(mus, &ir.Mu{Sym: sym, Spec: SymFlag(f, sym, locs, total, ar, mode, pol, fp)})
 		}
 	}
 	return mus

@@ -135,7 +135,7 @@ func TestCostModeFlagsByProbability(t *testing.T) {
 					}
 				}
 			}
-			AssignFlagsPolicy(prog, ar, prof, ModeCost, PolicyFor(machine.Config{}, c.threshold))
+			AssignFlagsTiered(prog, ar, prof, ModeCost, PolicyFor(machine.Config{}, c.threshold), nil)
 			checked := false
 			for _, blk := range main.Blocks {
 				for _, st := range blk.Stmts {
@@ -180,7 +180,7 @@ func TestCostModeDegradesToSetSemantics(t *testing.T) {
 				}
 			}
 		}
-		AssignFlags(prog, ar, prof, mode)
+		AssignFlagsTiered(prog, ar, prof, mode, DefaultPolicy(), nil)
 		var out string
 		for _, blk := range main.Blocks {
 			for _, st := range blk.Stmts {
@@ -249,7 +249,7 @@ int main() {
 		t.Fatal("fused load's store side got no chi: the Assign arms must be independent, not exclusive")
 	}
 
-	AssignFlags(prog, ar, nil, ModeNone)
+	AssignFlagsTiered(prog, ar, nil, ModeNone, DefaultPolicy(), nil)
 	for _, chi := range load.Chis {
 		if !chi.Spec {
 			t.Errorf("ModeNone left the store-side chi on %s weak", chi.Sym.Name)
@@ -260,7 +260,7 @@ int main() {
 			t.Errorf("ModeNone left mu on %s weak", mu.Sym.Name)
 		}
 	}
-	AssignFlags(prog, ar, profile.New(), ModeProfile)
+	AssignFlagsTiered(prog, ar, profile.New(), ModeProfile, DefaultPolicy(), nil)
 	for _, chi := range load.Chis {
 		if chi.Spec {
 			t.Errorf("ModeProfile must keep the direct-store summary chi on %s weak", chi.Sym.Name)
@@ -285,6 +285,6 @@ func lowerOnly(t *testing.T, src string) *ir.Program {
 
 func analyzeAnnotate(prog *ir.Program) *alias.Result {
 	ar := alias.Analyze(prog, alias.Options{TypeBased: true})
-	ar.Annotate(prog)
+	ar.AnnotateWorkers(prog, 0)
 	return ar
 }

@@ -8,8 +8,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/ir"
 )
 
@@ -280,13 +278,4 @@ func hasPhiFor(b *ir.Block, sym *ir.Sym) bool {
 		}
 	}
 	return false
-}
-
-// DefOf returns the definition record of (sym, ver).
-func (s *SSA) DefOf(sym *ir.Sym, ver int) (Def, error) {
-	d, ok := s.Def[SymVer{sym, ver}]
-	if !ok {
-		return Def{}, fmt.Errorf("core: no definition recorded for %s_%d in %s", sym.Name, ver, s.Fn.Name)
-	}
-	return d, nil
 }

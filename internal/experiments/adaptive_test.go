@@ -98,7 +98,7 @@ func TestRetieredFunctionsPassSpecheck(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := repro.Compile(w.Src, cfg)
+		c, err := repro.CompileCtx(context.Background(), w.Src, cfg)
 		if err != nil {
 			t.Errorf("tier %s: specheck rejected the re-tiered build: %v", tier, err)
 			continue

@@ -111,13 +111,6 @@ func (f *Func) NewMu(m Mu) *Mu {
 	return n
 }
 
-// NewChi allocates a copy of ch in f's arena.
-func (f *Func) NewChi(ch Chi) *Chi {
-	n, i := f.arenaOf().chis.alloc(ch)
-	n.aidx = i + 1
-	return n
-}
-
 // NewAssign allocates a copy of a in f's arena.
 func (f *Func) NewAssign(a Assign) *Assign {
 	n, i := f.arenaOf().assigns.alloc(a)

@@ -103,27 +103,6 @@ func verifyStmt(f *Func, b *Block, s Stmt) error {
 	return nil
 }
 
-// InPass labels a verifier error with the pass that just ran, so a
-// post-transform failure says which pass broke the IR. A nil error stays
-// nil.
-func InPass(pass string, err error) error {
-	if err == nil || pass == "" {
-		return err
-	}
-	return fmt.Errorf("after %s: %w", pass, err)
-}
-
-// VerifyPass is Verify with the error labeled by the pass that just ran.
-func VerifyPass(f *Func, pass string) error {
-	return InPass(pass, Verify(f))
-}
-
-// VerifySSAPass is VerifySSA with the error labeled by the pass that just
-// ran.
-func VerifySSAPass(f *Func, pass string) error {
-	return InPass(pass, VerifySSA(f))
-}
-
 // IsBuiltin reports whether name is a runtime-provided function rather than
 // a user-defined one.
 func IsBuiltin(name string) bool {

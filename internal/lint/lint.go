@@ -6,11 +6,10 @@
 //     must not call context.Background() outside tests; every operation
 //     there runs under a request context with a deadline, and a
 //     background context silently opts out of cancellation;
-//   - missing-ctx-variant: an exported Run*/Compile*/Evaluate* entry
-//     point that does not itself take a context must have a ...Ctx
-//     sibling (a trailing Workers is stripped before the lookup, so
-//     RunAllWorkers pairs with RunAllCtx), keeping every long-running
-//     API cancellable.
+//   - entry-point-takes-ctx: every exported Run*/Compile*/Evaluate*
+//     function or method must itself take a context.Context, keeping
+//     every long-running API cancellable with one callable per
+//     operation (no Background-supplying wrapper beside a Ctx form).
 //
 // The companion test runs both rules over the repository source, making
 // the conventions regressions instead of review comments.
@@ -45,12 +44,12 @@ type Config struct {
 	// NoContextBackground: non-test files in these package directories
 	// must not call context.Background().
 	NoContextBackground []string
-	// CtxVariant: exported Run*/Compile*/Evaluate* functions in these
-	// package directories must have a ...Ctx variant.
-	CtxVariant []string
+	// EntryPointCtx: exported Run*/Compile*/Evaluate* functions and
+	// methods in these package directories must take a context.Context.
+	EntryPointCtx []string
 }
 
-// entryPrefixes are the API families the ctx-variant rule covers.
+// entryPrefixes are the API families the entry-point rule covers.
 var entryPrefixes = []string{"Run", "Compile", "Evaluate"}
 
 // Run lints the configured directories under root and returns the
@@ -64,8 +63,8 @@ func Run(root string, cfg Config) ([]Finding, error) {
 		}
 		findings = append(findings, fs...)
 	}
-	for _, dir := range cfg.CtxVariant {
-		fs, err := lintDir(root, dir, checkCtxVariants)
+	for _, dir := range cfg.EntryPointCtx {
+		fs, err := lintDir(root, dir, checkEntryPointCtx)
 		if err != nil {
 			return nil, err
 		}
@@ -131,22 +130,6 @@ func checkNoBackground(fset *token.FileSet, files map[string]*ast.File) []Findin
 	return out
 }
 
-// recvName returns the receiver's base type name ("" for plain funcs),
-// so methods pair with methods on the same type.
-func recvName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return ""
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
-}
-
 // takesContext reports whether any parameter's type is context.Context.
 func takesContext(fd *ast.FuncDecl) bool {
 	if fd.Type.Params == nil {
@@ -164,53 +147,27 @@ func takesContext(fd *ast.FuncDecl) bool {
 	return false
 }
 
-// checkCtxVariants flags exported Run*/Compile*/Evaluate* declarations
-// with no context parameter and no ...Ctx sibling on the same receiver.
-func checkCtxVariants(fset *token.FileSet, files map[string]*ast.File) []Finding {
-	// one package: collect every function key first, then judge
-	decls := map[string]bool{} // "Recv.Name"
-	type entry struct {
-		file string
-		line int
-		recv string
-		name string
-	}
-	var candidates []entry
+// checkEntryPointCtx flags exported Run*/Compile*/Evaluate* functions
+// and methods that take no context.Context.
+func checkEntryPointCtx(fset *token.FileSet, files map[string]*ast.File) []Finding {
+	var out []Finding
 	for rel, f := range files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			recv := recvName(fd)
-			name := fd.Name.Name
-			decls[recv+"."+name] = true
-			if !fd.Name.IsExported() || strings.HasSuffix(name, "Ctx") || takesContext(fd) {
+			if !ok || !fd.Name.IsExported() || takesContext(fd) {
 				continue
 			}
 			for _, prefix := range entryPrefixes {
-				if strings.HasPrefix(name, prefix) {
-					candidates = append(candidates, entry{rel, fset.Position(fd.Pos()).Line, recv, name})
+				if strings.HasPrefix(fd.Name.Name, prefix) {
+					out = append(out, Finding{
+						File: rel, Line: fset.Position(fd.Pos()).Line,
+						Rule: "entry-point-takes-ctx",
+						Msg:  fmt.Sprintf("exported entry point %s takes no context.Context: long-running APIs must be cancellable", fd.Name.Name),
+					})
 					break
 				}
 			}
 		}
-	}
-	var out []Finding
-	for _, c := range candidates {
-		base := strings.TrimSuffix(c.name, "Workers")
-		if decls[c.recv+"."+c.name+"Ctx"] || decls[c.recv+"."+base+"Ctx"] {
-			continue
-		}
-		what := c.name
-		if c.recv != "" {
-			what = c.recv + "." + c.name
-		}
-		out = append(out, Finding{
-			File: c.file, Line: c.line,
-			Rule: "missing-ctx-variant",
-			Msg:  fmt.Sprintf("exported entry point %s has no %sCtx variant: long-running APIs must be cancellable", what, base),
-		})
 	}
 	return out
 }

@@ -10,12 +10,12 @@ import (
 // runs this test, so a convention break fails the build.
 var repoConfig = Config{
 	NoContextBackground: []string{"internal/server"},
-	CtxVariant:          []string{".", "internal/experiments"},
+	EntryPointCtx:       []string{".", "internal/experiments"},
 }
 
 // TestRepoIsClean lints the repository's own source. Zero findings is
-// the contract: every Run*/Compile*/Evaluate* entry point has a Ctx
-// variant and the server never detaches from the request context.
+// the contract: every Run*/Compile*/Evaluate* entry point takes a
+// context and the server never detaches from the request context.
 func TestRepoIsClean(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -43,8 +43,9 @@ func writeFixture(t *testing.T, dir, name, src string) {
 
 // TestRulesFire proves both rules actually detect their targets (a
 // linter that can't fail is worse than none) and that the documented
-// escapes — Ctx sibling, Workers-stripped sibling, direct ctx param,
-// test files — suppress them.
+// escapes — a direct ctx param, unexported or uncovered names, test
+// files — suppress them. A Ctx sibling no longer excuses an entry point
+// that takes no context.
 func TestRulesFire(t *testing.T) {
 	root := t.TempDir()
 	writeFixture(t, filepath.Join(root, "srv"), "srv.go", `package srv
@@ -68,12 +69,12 @@ import "context"
 
 type T struct{}
 
-func RunBad() {}                                  // violation: no Ctx variant
-func (t *T) CompileBad() {}                       // violation: method, no Ctx variant
-func RunGood() {}                                 // ok: sibling below
-func RunGoodCtx(ctx context.Context) {}           // the sibling
-func RunPoolWorkers() {}                          // ok: Workers strips to RunPoolCtx
-func RunPoolCtx(ctx context.Context) {}           // the stripped sibling
+func RunBad() {}                                  // violation: no ctx
+func (t *T) CompileBad() {}                       // violation: method, no ctx
+func RunGood() {}                                 // violation: a Ctx sibling is no excuse
+func RunGoodCtx(ctx context.Context) {}           // ok: takes ctx
+func RunPoolWorkers() {}                          // violation: no Workers stripping
+func RunPoolCtx(ctx context.Context) {}           // ok: takes ctx
 func EvaluateDirect(ctx context.Context) {}       // ok: takes ctx itself
 func runLower() {}                                // ok: unexported
 func Render() {}                                  // ok: prefix not covered
@@ -81,7 +82,7 @@ func Render() {}                                  // ok: prefix not covered
 
 	findings, err := Run(root, Config{
 		NoContextBackground: []string{"srv"},
-		CtxVariant:          []string{"api"},
+		EntryPointCtx:       []string{"api"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +90,7 @@ func Render() {}                                  // ok: prefix not covered
 
 	want := map[string]string{
 		"no-context-background": filepath.Join("srv", "srv.go"),
-		"missing-ctx-variant":   filepath.Join("api", "api.go"),
+		"entry-point-takes-ctx": filepath.Join("api", "api.go"),
 	}
 	got := map[string]int{}
 	for _, f := range findings {
@@ -101,15 +102,15 @@ func Render() {}                                  // ok: prefix not covered
 	if got["no-context-background"] != 1 {
 		t.Errorf("no-context-background: got %d findings, want 1", got["no-context-background"])
 	}
-	if got["missing-ctx-variant"] != 2 {
-		t.Errorf("missing-ctx-variant: got %d findings, want 2", got["missing-ctx-variant"])
+	if got["entry-point-takes-ctx"] != 4 {
+		t.Errorf("entry-point-takes-ctx: got %d findings, want 4", got["entry-point-takes-ctx"])
 	}
 }
 
 // TestMissingDir ensures a misconfigured directory is an error, not a
 // silent pass.
 func TestMissingDir(t *testing.T) {
-	if _, err := Run(t.TempDir(), Config{CtxVariant: []string{"nope"}}); err == nil {
+	if _, err := Run(t.TempDir(), Config{EntryPointCtx: []string{"nope"}}); err == nil {
 		t.Fatal("want error for missing directory")
 	}
 }

@@ -1,6 +1,7 @@
 package machine_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestReplayBatchDistinctMissStreams(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s not registered", tc.workload)
 		}
-		c, err := repro.Compile(w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs})
+		c, err := repro.CompileCtx(context.Background(), w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.workload, err)
 		}

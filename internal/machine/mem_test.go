@@ -34,7 +34,7 @@ func frontend(t *testing.T, src string) *ir.Program {
 // separate frontend runs so codegen cannot disturb the reference IR.
 func build(t *testing.T, src string) (*ir.Program, *machine.Program) {
 	t.Helper()
-	code, err := codegen.Lower(frontend(t, src))
+	code, err := codegen.LowerWorkers(frontend(t, src), 0)
 	if err != nil {
 		t.Fatalf("codegen: %v", err)
 	}

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 // speculation configuration and checks VM output against the reference
 // interpreter, on both the training and the reference input.
 func TestAllKernelsAllModes(t *testing.T) {
+	ctx := context.Background()
 	configs := []repro.Config{
 		{OptimizeOff: true},
 		{Spec: repro.SpecOff},
@@ -24,16 +26,16 @@ func TestAllKernelsAllModes(t *testing.T) {
 			cfg.ProfileArgs = w.ProfileArgs
 			name := fmt.Sprintf("%s/spec=%v_opt=%v_agg=%v", w.Name, cfg.Spec, !cfg.OptimizeOff, cfg.AggressivePromotion)
 			t.Run(name, func(t *testing.T) {
-				c, err := repro.Compile(w.Src, cfg)
+				c, err := repro.CompileCtx(ctx, w.Src, cfg)
 				if err != nil {
 					t.Fatalf("compile: %v", err)
 				}
 				for _, args := range [][]int64{w.ProfileArgs, w.RefArgs} {
-					want, err := c.RunReference(args)
+					want, err := c.RunReferenceCtx(ctx, args)
 					if err != nil {
 						t.Fatalf("reference: %v", err)
 					}
-					got, err := c.Run(args)
+					got, err := c.RunCtx(ctx, args)
 					if err != nil {
 						t.Fatalf("vm: %v", err)
 					}
@@ -51,22 +53,23 @@ func TestAllKernelsAllModes(t *testing.T) {
 // load reduction under profile-guided speculation, and mis-speculation
 // must be rare on the same-shape input.
 func TestSpeculationWinsWhereThePaperSays(t *testing.T) {
+	ctx := context.Background()
 	winners := map[string]bool{"equake": true, "mcf": true, "art": true, "ammp": true, "twolf": true}
 	for _, w := range All() {
 		t.Run(w.Name, func(t *testing.T) {
-			base, err := repro.Compile(w.Src, repro.Config{Spec: repro.SpecOff, ProfileArgs: w.ProfileArgs})
+			base, err := repro.CompileCtx(ctx, w.Src, repro.Config{Spec: repro.SpecOff, ProfileArgs: w.ProfileArgs})
 			if err != nil {
 				t.Fatalf("compile base: %v", err)
 			}
-			spec, err := repro.Compile(w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs})
+			spec, err := repro.CompileCtx(ctx, w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs})
 			if err != nil {
 				t.Fatalf("compile spec: %v", err)
 			}
-			rb, err := base.Run(w.RefArgs)
+			rb, err := base.RunCtx(ctx, w.RefArgs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rs, err := spec.Run(w.RefArgs)
+			rs, err := spec.RunCtx(ctx, w.RefArgs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,6 +102,7 @@ func TestSpeculationWinsWhereThePaperSays(t *testing.T) {
 // scheduler and the pipelined timing model: semantics must be unchanged
 // and cycles must not regress versus the unscheduled pipelined build.
 func TestPipelinedScheduledEquivalence(t *testing.T) {
+	ctx := context.Background()
 	if testing.Short() {
 		t.Skip("full sweep")
 	}
@@ -107,19 +111,19 @@ func TestPipelinedScheduledEquivalence(t *testing.T) {
 			base := repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs, Machine: repro.PipelinedMachine()}
 			sched := base
 			sched.Schedule = true
-			cb, err := repro.Compile(w.Src, base)
+			cb, err := repro.CompileCtx(ctx, w.Src, base)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cs, err := repro.Compile(w.Src, sched)
+			cs, err := repro.CompileCtx(ctx, w.Src, sched)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rb, err := cb.Run(w.RefArgs)
+			rb, err := cb.RunCtx(ctx, w.RefArgs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rs, err := cs.Run(w.RefArgs)
+			rs, err := cs.RunCtx(ctx, w.RefArgs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,6 +187,7 @@ func contains(s, sub string) bool {
 // correct output everywhere, a low failure rate on the training shape,
 // and heavy mis-speculation once the input drifts.
 func TestHiddenWorkloads(t *testing.T) {
+	ctx := context.Background()
 	for _, w := range Hidden() {
 		if _, ok := ByName(w.Name); ok {
 			t.Errorf("hidden kernel %q leaked into the published set", w.Name)
@@ -198,18 +203,18 @@ func TestHiddenWorkloads(t *testing.T) {
 
 	w, _ := Resolve("drift")
 	cfg := repro.Config{Spec: repro.SpecCost, SpecThreshold: 1, ProfileArgs: w.ProfileArgs}
-	c, err := repro.Compile(w.Src, cfg)
+	c, err := repro.CompileCtx(ctx, w.Src, cfg)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	rates := make(map[int64]float64)
 	for _, mod := range []int64{16, 2, 64} {
 		args := []int64{256, mod}
-		want, err := c.RunReference(args)
+		want, err := c.RunReferenceCtx(ctx, args)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := c.Run(args)
+		res, err := c.RunCtx(ctx, args)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -14,18 +15,19 @@ import (
 // split: for every workload and every Config in the sensitivity sweep
 // grid, the replayed result — cycle counts, every Counters field, and
 // program output — is byte-identical to direct machine execution, at
-// one worker and at eight. Evaluate now re-times each trace group
-// through machine.ReplayBatch, so the Evaluate legs below exercise the
+// one worker and at eight. EvaluateCtx now re-times each trace group
+// through machine.ReplayBatch, so the EvaluateCtx legs below exercise the
 // batched engine end-to-end; the explicit ReplayBatch-vs-Replay leg
 // pins the machine-level contract per workload over the full grid.
 
 func TestReplayEquivalentToDirectOnAllWorkloads(t *testing.T) {
+	ctx := context.Background()
 	if testing.Short() {
 		t.Skip("full workload sweep")
 	}
 	cfgs := experiments.MachineSweepConfigs()
 	for _, w := range workloads.All() {
-		c, err := repro.Compile(w.Src, repro.Config{
+		c, err := repro.CompileCtx(ctx, w.Src, repro.Config{
 			Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs,
 		})
 		if err != nil {
@@ -36,17 +38,17 @@ func TestReplayEquivalentToDirectOnAllWorkloads(t *testing.T) {
 		}
 
 		repro.SetTraceEnabled(false)
-		direct, err := c.Evaluate(w.RefArgs, cfgs, 1)
+		direct, err := c.EvaluateCtx(ctx, w.RefArgs, cfgs, 1)
 		repro.SetTraceEnabled(true)
 		if err != nil {
 			t.Fatalf("%s: direct evaluate: %v", w.Name, err)
 		}
 
-		serial, err := c.Evaluate(w.RefArgs, cfgs, 1)
+		serial, err := c.EvaluateCtx(ctx, w.RefArgs, cfgs, 1)
 		if err != nil {
 			t.Fatalf("%s: replay evaluate (1 worker): %v", w.Name, err)
 		}
-		parallel, err := c.Evaluate(w.RefArgs, cfgs, 8)
+		parallel, err := c.EvaluateCtx(ctx, w.RefArgs, cfgs, 8)
 		if err != nil {
 			t.Fatalf("%s: replay evaluate (8 workers): %v", w.Name, err)
 		}
@@ -92,22 +94,23 @@ func TestReplayEquivalentToDirectOnAllWorkloads(t *testing.T) {
 // (trace-backed) matches direct execution exactly, including for the
 // pipelined model of PipelinedMachine.
 func TestRunUsesTracePathTransparently(t *testing.T) {
+	ctx := context.Background()
 	w, ok := workloads.ByName("equake")
 	if !ok {
 		t.Fatal("equake not registered")
 	}
 	for _, mcfg := range []machine.Config{{}, repro.PipelinedMachine(), {ALATSize: 4}} {
 		cfg := repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs, Machine: mcfg}
-		c, err := repro.Compile(w.Src, cfg)
+		c, err := repro.CompileCtx(ctx, w.Src, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		traced, err := c.Run(w.RefArgs)
+		traced, err := c.RunCtx(ctx, w.RefArgs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		repro.SetTraceEnabled(false)
-		direct, derr := c.Run(w.RefArgs)
+		direct, derr := c.RunCtx(ctx, w.RefArgs)
 		repro.SetTraceEnabled(true)
 		if derr != nil {
 			t.Fatal(derr)
@@ -123,11 +126,11 @@ func TestRunUsesTracePathTransparently(t *testing.T) {
 // PotentialReduction) identical to the serial walk, for every workload.
 func TestShardedReuseLimitMatchesSerial(t *testing.T) {
 	for _, w := range workloads.All() {
-		serial, err := repro.ReuseLimitWorkers(w.Src, w.RefArgs, 1)
+		serial, err := repro.ReuseLimitWorkersCtx(context.Background(), w.Src, w.RefArgs, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		sharded, err := repro.ReuseLimitWorkers(w.Src, w.RefArgs, 8)
+		sharded, err := repro.ReuseLimitWorkersCtx(context.Background(), w.Src, w.RefArgs, 8)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,6 +13,7 @@ import (
 // in all speculation modes, checking VM output against the reference
 // interpreter — the same contract the CLI tools rely on.
 func TestTestdataPrograms(t *testing.T) {
+	ctx := context.Background()
 	files, err := filepath.Glob("testdata/*.mc")
 	if err != nil {
 		t.Fatal(err)
@@ -36,15 +38,15 @@ func TestTestdataPrograms(t *testing.T) {
 		runArgs := args[base]
 		for _, mode := range []repro.SpecMode{repro.SpecOff, repro.SpecProfile, repro.SpecHeuristic} {
 			t.Run(base+"/"+mode.String(), func(t *testing.T) {
-				c, err := repro.Compile(string(src), repro.Config{Spec: mode, ProfileArgs: train[base]})
+				c, err := repro.CompileCtx(ctx, string(src), repro.Config{Spec: mode, ProfileArgs: train[base]})
 				if err != nil {
 					t.Fatalf("compile: %v", err)
 				}
-				want, err := c.RunReference(runArgs)
+				want, err := c.RunReferenceCtx(ctx, runArgs)
 				if err != nil {
 					t.Fatalf("reference: %v", err)
 				}
-				got, err := c.Run(runArgs)
+				got, err := c.RunCtx(ctx, runArgs)
 				if err != nil {
 					t.Fatalf("vm: %v", err)
 				}
