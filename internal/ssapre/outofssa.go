@@ -121,8 +121,8 @@ func outOfSSA(fn *ir.Func, coalesce map[*ir.Sym]bool) {
 	// 3. sequentialize each edge's parallel copy group and append it to
 	//    the predecessor (critical edges are split, so a pred with copies
 	//    for one successor has only that successor or the copies commute)
-	for pred, groups := range edgeCopies {
-		for _, group := range groups {
+	for _, pred := range fn.Blocks {
+		for _, group := range edgeCopies[pred] {
 			if len(group) == 0 {
 				continue
 			}

@@ -156,7 +156,10 @@ type srCand struct {
 // reduceCandidates rewrites every `t = x2 * k` in the loop.
 func reduceCandidates(ssa *core.SSA, loop *ir.Loop, preheader *ir.Block, iv *indVar, copies map[core.SymVer]ir.Operand, stats *Stats) {
 	var cands []srCand
-	for b := range loop.Blocks {
+	for _, b := range ssa.Fn.Blocks {
+		if !loop.Blocks[b] {
+			continue // (loop.Blocks is a set; walking it would order candidates randomly)
+		}
 		for _, st := range b.Stmts {
 			a, ok := st.(*ir.Assign)
 			if !ok || a.RK != ir.RHSBinary || a.Op != ir.OpMul {
@@ -301,7 +304,10 @@ func buildChain(ssa *core.SSA, loop *ir.Loop, preheader *ir.Block, iv *indVar, k
 		return
 	}
 	var boundK ir.Operand // lazily created bound*k
-	for b := range loop.Blocks {
+	for _, b := range fn.Blocks {
+		if !loop.Blocks[b] {
+			continue
+		}
 		for _, st := range b.Stmts {
 			a, ok := st.(*ir.Assign)
 			if !ok || a.RK != ir.RHSBinary || !a.Op.IsComparison() {
