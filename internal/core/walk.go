@@ -13,13 +13,30 @@ type WalkContext struct {
 	// strongly defines) any of these symbols is a real kill and blocks
 	// the skip — this is the paper's Example 1 reasoning, where mu_s(b)
 	// at the load pairs with chi_s(b) at a store.
-	MuSpec map[*ir.Sym]bool
+	// The set is a handful of symbols at most, so it is a slice.
+	MuSpec []*ir.Sym
 
 	// SynKey is the syntax-tree key of the occurrence and Keys the
 	// per-function key table (ModeHeuristic): an intervening store with
 	// an identical syntax tree is a real kill (heuristic rules 1/2).
 	SynKey string
 	Keys   map[ir.Stmt]string
+}
+
+// AddMuSpec adds sym to MuSpec.
+func (c *WalkContext) AddMuSpec(sym *ir.Sym) {
+	if !c.muSpec(sym) {
+		c.MuSpec = append(c.MuSpec, sym)
+	}
+}
+
+func (c *WalkContext) muSpec(sym *ir.Sym) bool {
+	for _, s := range c.MuSpec {
+		if s == sym {
+			return true
+		}
+	}
+	return false
 }
 
 // BlocksSkip reports whether the context forbids speculatively ignoring
@@ -40,23 +57,23 @@ func (c *WalkContext) BlocksSkip(stmt ir.Stmt) bool {
 		}
 		switch t := stmt.(type) {
 		case *ir.Assign:
-			if t.Dst.Sym.InMemory() && c.MuSpec[t.Dst.Sym] {
+			if t.Dst.Sym.InMemory() && c.muSpec(t.Dst.Sym) {
 				return true
 			}
 			for _, chi := range t.Chis {
-				if chi.Spec && c.MuSpec[chi.Sym] {
+				if chi.Spec && c.muSpec(chi.Sym) {
 					return true
 				}
 			}
 		case *ir.IStore:
 			for _, chi := range t.Chis {
-				if chi.Spec && c.MuSpec[chi.Sym] {
+				if chi.Spec && c.muSpec(chi.Sym) {
 					return true
 				}
 			}
 		case *ir.Call:
 			for _, chi := range t.Chis {
-				if chi.Spec && c.MuSpec[chi.Sym] {
+				if chi.Spec && c.muSpec(chi.Sym) {
 					return true
 				}
 			}
