@@ -72,7 +72,6 @@ type arena struct {
 	refs    slab[Ref]
 	addrs   slab[AddrOf]
 	mus     slab[Mu]
-	chis    slab[Chi]
 	assigns slab[Assign]
 	istores slab[IStore]
 	calls   slab[Call]

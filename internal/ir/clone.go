@@ -186,12 +186,9 @@ func (c *cloner) mu(m *Mu) *Mu {
 	return n
 }
 
+// chi clones through the map only: chis are heap-allocated by alias
+// analysis and flag assignment, never in an arena.
 func (c *cloner) chi(ch *Chi) *Chi {
-	if c.oldA != nil && ch.aidx > 0 {
-		if i := ch.aidx - 1; i < c.oldA.chis.n && c.oldA.chis.at(i) == ch {
-			return c.newA.chis.at(i)
-		}
-	}
 	if n, ok := c.chis[ch]; ok {
 		return n
 	}
@@ -405,10 +402,6 @@ func (c *cloner) fixArena() {
 		n := newA.mus.at(i)
 		n.Sym = c.sym(n.Sym)
 	}
-	for i := int32(0); i < newA.chis.n; i++ {
-		n := newA.chis.at(i)
-		n.Sym = c.sym(n.Sym)
-	}
 	for i := int32(0); i < newA.assigns.n; i++ {
 		n := newA.assigns.at(i)
 		n.Dst = c.ref(n.Dst)
@@ -462,7 +455,6 @@ func (c *cloner) fn(f *Func, np *Program) *Func {
 		c.newA.refs.copyFrom(&f.arena.refs)
 		c.newA.addrs.copyFrom(&f.arena.addrs)
 		c.newA.mus.copyFrom(&f.arena.mus)
-		c.newA.chis.copyFrom(&f.arena.chis)
 		c.newA.assigns.copyFrom(&f.arena.assigns)
 		c.newA.istores.copyFrom(&f.arena.istores)
 		c.newA.calls.copyFrom(&f.arena.calls)

@@ -35,8 +35,6 @@ type Chi struct {
 	NewVer int
 	OldVer int
 	Spec   bool
-
-	aidx int32 // slab index +1 (see arena.go); 0 = literal-built
 }
 
 func (c *Chi) String() string {

@@ -124,7 +124,8 @@ type Config struct {
 	// running the training input at compile time — the paper's separate
 	// profile-then-recompile feedback workflow.
 	ProfileJSON []byte
-	// Rounds overrides the number of PRE rounds (default 2).
+	// Rounds caps the number of PRE rounds (<=0 means the optimizer's
+	// default of 8); rounds stop early once one changes nothing.
 	Rounds int
 	// Schedule enables the latency-driven list scheduler (the
 	// instruction-scheduling client of the paper's Fig. 3). Its effect
