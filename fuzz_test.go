@@ -39,8 +39,37 @@ type arrayInfo struct {
 }
 
 func newProgGen(seed int64) *progGen {
-	return &progGen{rng: rand.New(rand.NewSource(seed)), loopVars: map[string]bool{}}
+	return newProgGenRand(rand.New(rand.NewSource(seed)))
 }
+
+func newProgGenRand(rng *rand.Rand) *progGen {
+	return &progGen{rng: rng, loopVars: map[string]bool{}}
+}
+
+// byteSource is a rand.Source driven by fuzz bytes: draw i mixes byte i
+// with i (splitmix64), and draws past the end mix i alone. Mutating one
+// input byte therefore changes one generator decision, which keeps the
+// fuzzer's mutations local in the generated program.
+type byteSource struct {
+	data []byte
+	i    uint64
+}
+
+func (s *byteSource) Uint64() uint64 {
+	x := s.i * 0x9e3779b97f4a7c15
+	if s.i < uint64(len(s.data)) {
+		x ^= uint64(s.data[s.i]) << 56
+	}
+	s.i++
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+func (s *byteSource) Int63() int64 { return int64(s.Uint64() >> 1) }
+func (s *byteSource) Seed(int64)   {}
 
 func (g *progGen) w(format string, args ...any) {
 	fmt.Fprintf(&g.sb, format, args...)
@@ -322,6 +351,41 @@ func TestFuzzEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzCompile is the coverage-guided twin of TestFuzzEquivalence: the
+// fuzz bytes drive the program generator, and every generated program is
+// compiled under profile-guided and cost-model speculation with the
+// per-pass soundness checker on, then run on the VM against the
+// reference interpreter. A compile error (a specheck violation included)
+// or an output mismatch is a failure.
+func FuzzCompile(f *testing.F) {
+	ctx := context.Background()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// every input is a new program: keep the process's compilation
+		// cache from growing with the corpus
+		t.Cleanup(repro.ResetCaches)
+		src := newProgGenRand(rand.New(&byteSource{data: data})).generate()
+		for _, spec := range []repro.SpecMode{repro.SpecProfile, repro.SpecCost} {
+			c, err := repro.CompileCtx(ctx, src, repro.Config{Spec: spec, ProfileArgs: []int64{3}, VerifyPasses: true})
+			if err != nil {
+				t.Fatalf("%s: compile: %v\n%s", spec, err, src)
+			}
+			for _, input := range []int64{3, 41} {
+				want, err := c.RunReferenceCtx(ctx, []int64{input})
+				if err != nil {
+					t.Fatalf("%s input %d: reference: %v\n%s", spec, input, err, src)
+				}
+				got, err := c.RunCtx(ctx, []int64{input})
+				if err != nil {
+					t.Fatalf("%s input %d: run: %v\n%s", spec, input, err, src)
+				}
+				if got.Output != want.Output {
+					t.Fatalf("%s input %d: output %q, reference %q\n%s", spec, input, got.Output, want.Output, src)
+				}
+			}
+		}
+	})
 }
 
 // TestFuzzBatchedReplay drives the batched timing engine with generated
