@@ -371,28 +371,6 @@ func TestRemoveUnreachable(t *testing.T) {
 	}
 }
 
-func TestPreorderWalkOrder(t *testing.T) {
-	prog := NewProgram()
-	f := prog.NewFunc("f", VoidType)
-	a, b, c := f.NewBlock(), f.NewBlock(), f.NewBlock()
-	f.Entry = a
-	Connect(a, b)
-	Connect(a, c)
-	a.Term = Term{Kind: TermCond, Cond: &ConstInt{Val: 1}}
-	b.Term = Term{Kind: TermRet}
-	c.Term = Term{Kind: TermRet}
-	dt := BuildDomTree(f)
-	var enter, leave []int
-	dt.PreorderWalk(func(blk *Block) { enter = append(enter, blk.ID) },
-		func(blk *Block) { leave = append(leave, blk.ID) })
-	if len(enter) != 3 || enter[0] != a.ID {
-		t.Errorf("enter order %v", enter)
-	}
-	if len(leave) != 3 || leave[len(leave)-1] != a.ID {
-		t.Errorf("leave order %v (root leaves last)", leave)
-	}
-}
-
 func TestProgramStringIsStable(t *testing.T) {
 	prog := NewProgram()
 	prog.NewGlobal("beta", IntType)
