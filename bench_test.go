@@ -240,7 +240,10 @@ func BenchmarkPipelineCompile(b *testing.B) {
 // optimizing compile path (every workload, profile-guided speculation)
 // and of the warm frontend-cache path (clone-dominated), and emits
 // BENCH_compile.json so CI can guard against allocation regressions the
-// same way BENCH_machine.json guards sweep speedups.
+// same way BENCH_machine.json guards sweep speedups. The committed file
+// also carries parent_ns_per_compile and parent_allocs_per_compile: the
+// same benchmark run on the same host at the parent commit, added by
+// hand when the file is re-recorded. A fresh run omits them.
 func BenchmarkCompileProfile(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()
@@ -285,6 +288,7 @@ func BenchmarkCompileProfile(b *testing.B) {
 	b.ReportMetric(allocsPer, "allocs/compile")
 	out := map[string]any{
 		"benchmark":          "CompileProfile",
+		"cores":              runtime.NumCPU(),
 		"workloads":          len(ws),
 		"allocs_per_compile": allocsPer,
 		"ns_per_compile":     compileNs,
