@@ -10,8 +10,8 @@
 package machine
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -111,11 +111,14 @@ var opNames = map[Opcode]string{
 	OpFence: "fence",
 }
 
-func (o Opcode) String() string {
+func (o Opcode) String() string { return string(o.appendText(nil)) }
+
+func (o Opcode) appendText(dst []byte) []byte {
 	if s, ok := opNames[o]; ok {
-		return s
+		return append(dst, s...)
 	}
-	return fmt.Sprintf("op(%d)", int(o))
+	dst = strconv.AppendInt(append(dst, "op("...), int64(o), 10)
+	return append(dst, ')')
 }
 
 // Instr is one VM instruction. Rd/Rs/Rt are virtual register numbers
@@ -134,45 +137,78 @@ type Instr struct {
 	IsFrame bool   // OpLEA: Imm is a frame offset (else global address)
 }
 
-func (i Instr) String() string {
+func (i Instr) String() string { return string(i.appendText(nil)) }
+
+// appendText appends the instruction's assembly text to dst. It backs
+// String, Program.String and Fingerprint; strconv appends keep a whole
+// program's disassembly free of per-instruction allocations.
+func (i Instr) appendText(dst []byte) []byte {
 	switch i.Op {
 	case OpMovI:
-		return fmt.Sprintf("movi r%d, %d", i.Rd, i.Imm)
+		dst = appendReg(append(dst, "movi "...), i.Rd)
+		return strconv.AppendInt(append(dst, ", "...), i.Imm, 10)
 	case OpMov:
-		return fmt.Sprintf("mov r%d, r%d", i.Rd, i.Rs)
+		return appendRegs(append(dst, "mov "...), i.Rd, i.Rs)
 	case OpLEA:
+		dst = appendReg(append(dst, "lea "...), i.Rd)
 		if i.IsFrame {
-			return fmt.Sprintf("lea r%d, fp+%d", i.Rd, i.Imm)
+			dst = append(dst, ", fp+"...)
+		} else {
+			dst = append(dst, ", g@"...)
 		}
-		return fmt.Sprintf("lea r%d, g@%d", i.Rd, i.Imm)
+		return strconv.AppendInt(dst, i.Imm, 10)
 	case OpLd, OpLdF, OpLdA, OpLdFA, OpLdC, OpLdFC, OpLdS, OpLdFS, OpLdSA, OpLdFSA:
-		return fmt.Sprintf("%s r%d, [r%d]", i.Op, i.Rd, i.Rs)
+		dst = appendReg(append(i.Op.appendText(dst), ' '), i.Rd)
+		return append(appendReg(append(dst, ", ["...), i.Rs), ']')
 	case OpSt, OpStF:
-		return fmt.Sprintf("%s [r%d], r%d", i.Op, i.Rd, i.Rs)
+		dst = appendReg(append(i.Op.appendText(dst), " ["...), i.Rd)
+		return appendReg(append(dst, "], "...), i.Rs)
 	case OpBr:
-		return fmt.Sprintf("br %d", i.Target)
-	case OpBeqz:
-		return fmt.Sprintf("beqz r%d, %d", i.Rs, i.Target)
-	case OpBnez:
-		return fmt.Sprintf("bnez r%d, %d", i.Rs, i.Target)
+		return strconv.AppendInt(append(dst, "br "...), int64(i.Target), 10)
+	case OpBeqz, OpBnez:
+		dst = appendReg(append(i.Op.appendText(dst), ' '), i.Rs)
+		return strconv.AppendInt(append(dst, ", "...), int64(i.Target), 10)
 	case OpCall:
-		return fmt.Sprintf("call %s args=%v -> r%d", i.Fn, i.ArgRegs, i.Rd)
+		dst = append(append(dst, "call "...), i.Fn...)
+		dst = appendIntList(append(dst, " args="...), i.ArgRegs)
+		return appendReg(append(dst, " -> "...), i.Rd)
 	case OpRet:
 		if i.Rs >= 0 {
-			return fmt.Sprintf("ret r%d", i.Rs)
+			return appendReg(append(dst, "ret "...), i.Rs)
 		}
-		return "ret"
+		return append(dst, "ret"...)
 	case OpPrint:
-		return fmt.Sprintf("print %v", i.ArgRegs)
-	case OpArg:
-		return fmt.Sprintf("arg r%d, r%d", i.Rd, i.Rs)
-	case OpAlloc:
-		return fmt.Sprintf("alloc r%d, r%d", i.Rd, i.Rs)
+		return appendIntList(append(dst, "print "...), i.ArgRegs)
+	case OpArg, OpAlloc:
+		return appendRegs(append(i.Op.appendText(dst), ' '), i.Rd, i.Rs)
 	case OpFence:
-		return "fence"
+		return append(dst, "fence"...)
 	default:
-		return fmt.Sprintf("%s r%d, r%d, r%d", i.Op, i.Rd, i.Rs, i.Rt)
+		dst = appendRegs(append(i.Op.appendText(dst), ' '), i.Rd, i.Rs)
+		return appendReg(append(dst, ", "...), i.Rt)
 	}
+}
+
+// appendReg appends "r<n>".
+func appendReg(dst []byte, r int) []byte {
+	return strconv.AppendInt(append(dst, 'r'), int64(r), 10)
+}
+
+// appendRegs appends "r<a>, r<b>".
+func appendRegs(dst []byte, a, b int) []byte {
+	return appendReg(append(appendReg(dst, a), ", "...), b)
+}
+
+// appendIntList appends xs the way fmt's %v prints an []int: "[1 2 3]".
+func appendIntList(dst []byte, xs []int) []byte {
+	dst = append(dst, '[')
+	for k, x := range xs {
+		if k > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = strconv.AppendInt(dst, int64(x), 10)
+	}
+	return append(dst, ']')
 }
 
 // FuncCode is the compiled form of one function.
@@ -198,20 +234,40 @@ type Program struct {
 // String disassembles the program deterministically (functions sorted by
 // name).
 func (p *Program) String() string {
-	var names []string
+	var buf []byte
+	for _, name := range p.funcNames() {
+		buf = appendFuncText(buf, name, p.Funcs[name])
+	}
+	return string(buf)
+}
+
+// funcNames returns the program's function names in sorted order.
+func (p *Program) funcNames() []string {
+	names := make([]string, 0, len(p.Funcs))
 	for name := range p.Funcs {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	s := ""
-	for _, name := range names {
-		f := p.Funcs[name]
-		s += fmt.Sprintf("func %s (regs=%d frame=%d):\n", name, f.NumRegs, f.FrameSize)
-		for i, ins := range f.Instrs {
-			s += fmt.Sprintf("  %4d: %s\n", i, ins)
+	return names
+}
+
+// appendFuncText appends one function's disassembly: a header line, then
+// one "  %4d: <instr>" line per instruction.
+func appendFuncText(dst []byte, name string, f *FuncCode) []byte {
+	dst = append(append(dst, "func "...), name...)
+	dst = strconv.AppendInt(append(dst, " (regs="...), int64(f.NumRegs), 10)
+	dst = strconv.AppendInt(append(dst, " frame="...), int64(f.FrameSize), 10)
+	dst = append(dst, "):\n"...)
+	for i := range f.Instrs {
+		dst = append(dst, "  "...)
+		for w := 1000; w > 1 && i < w; w /= 10 {
+			dst = append(dst, ' ') // %4d's left padding
 		}
+		dst = strconv.AppendInt(dst, int64(i), 10)
+		dst = f.Instrs[i].appendText(append(dst, ": "...))
+		dst = append(dst, '\n')
 	}
-	return s
+	return dst
 }
 
 // Clone deep-copies the program: instruction slices, per-instruction

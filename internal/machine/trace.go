@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 )
 
@@ -502,17 +503,27 @@ func UnmarshalTrace(data []byte) (*Trace, error) {
 // layout, and initial data), suitable for keying recorded traces: two
 // programs with equal fingerprints execute identically on equal inputs.
 func (p *Program) Fingerprint() [sha256.Size]byte {
+	// the hashed text is "globsize N", one "init A V" line per initialised
+	// slot, then String(); it is streamed one function at a time through
+	// a reused buffer instead of being built as a string
 	h := sha256.New()
-	fmt.Fprintf(h, "globsize %d\n", p.GlobSize)
+	buf := strconv.AppendInt(append(make([]byte, 0, 4096), "globsize "...), int64(p.GlobSize), 10)
+	buf = append(buf, '\n')
 	addrs := make([]int, 0, len(p.GlobalInit))
 	for a := range p.GlobalInit {
 		addrs = append(addrs, a)
 	}
 	sort.Ints(addrs)
 	for _, a := range addrs {
-		fmt.Fprintf(h, "init %d %d\n", a, p.GlobalInit[a])
+		buf = strconv.AppendInt(append(buf, "init "...), int64(a), 10)
+		buf = strconv.AppendUint(append(buf, ' '), p.GlobalInit[a], 10)
+		buf = append(buf, '\n')
 	}
-	h.Write([]byte(p.String()))
+	h.Write(buf)
+	for _, name := range p.funcNames() {
+		buf = appendFuncText(buf[:0], name, p.Funcs[name])
+		h.Write(buf)
+	}
 	var fp [sha256.Size]byte
 	h.Sum(fp[:0])
 	return fp
