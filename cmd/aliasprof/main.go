@@ -114,7 +114,7 @@ func run() error {
 			var parts []string
 			for l, n := range set {
 				if n > 0 {
-					parts = append(parts, fmt.Sprintf("%s×%d", l, n))
+					parts = append(parts, fmt.Sprintf("%s×%d", l.Name(prog), n))
 				}
 			}
 			sort.Strings(parts)
@@ -129,7 +129,7 @@ func run() error {
 		}
 		sort.Ints(sites)
 		for _, s := range sites {
-			fmt.Printf("  %-40s %s\n", siteName(s), sets[s])
+			fmt.Printf("  %-40s %s\n", siteName(s), sets[s].Format(prog))
 		}
 	}
 	printCounted("indirect load LOC multisets", prof.LoadLocs)
@@ -146,7 +146,7 @@ func run() error {
 	var hots []hot
 	for _, fn := range prog.Funcs {
 		for _, b := range fn.Blocks {
-			if c := prof.BlockCount[b]; c > 0 {
+			if c := prof.BlockCount[profile.BlockOf(fn, b)]; c > 0 {
 				hots = append(hots, hot{fn.Name, b.ID, c})
 			}
 		}

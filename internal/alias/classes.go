@@ -324,10 +324,10 @@ func typeHasKind(t *ir.Type, wantFloat bool) bool {
 func (r *Result) LocToSym(f *ir.Func, loc profile.Loc) *ir.Sym {
 	switch loc.Kind {
 	case profile.LocGlobal:
-		return loc.Sym
+		return f.Prog().GlobalByID(loc.Sym)
 	case profile.LocLocal:
-		if loc.Fn == f {
-			return loc.Sym
+		if loc.Fn == f.Index() {
+			return f.SymByID(loc.Sym)
 		}
 		return nil
 	case profile.LocHeap:

@@ -274,7 +274,7 @@ func SymFlag(f *ir.Func, sym *ir.Sym, locs profile.LocSet, total uint64, ar *ali
 	case ModeProfile:
 		if sym.Kind == ir.SymVirtual {
 			if key, ok := ar.HeapSiteOf[sym]; ok {
-				return locs.Has(profile.Loc{Kind: profile.LocHeap, Site: key.Site, Ctx: key.Ctx})
+				return locs.Has(profile.HeapLoc(key.Site, key.Ctx))
 			}
 			return false // class virtual variable: always weak
 		}
@@ -286,7 +286,7 @@ func SymFlag(f *ir.Func, sym *ir.Sym, locs profile.LocSet, total uint64, ar *ali
 			if !ok {
 				return false // class virtual variable: always weak
 			}
-			count = locs.Count(profile.Loc{Kind: profile.LocHeap, Site: key.Site, Ctx: key.Ctx})
+			count = locs.Count(profile.HeapLoc(key.Site, key.Ctx))
 		} else {
 			count = locs.Count(symLoc(f, sym))
 		}
@@ -298,9 +298,9 @@ func SymFlag(f *ir.Func, sym *ir.Sym, locs profile.LocSet, total uint64, ar *ali
 // symLoc builds the profile LOC naming a program variable in function f.
 func symLoc(f *ir.Func, sym *ir.Sym) profile.Loc {
 	if sym.Kind == ir.SymGlobal {
-		return profile.Loc{Kind: profile.LocGlobal, Sym: sym}
+		return profile.GlobalLoc(sym)
 	}
-	return profile.Loc{Kind: profile.LocLocal, Sym: sym, Fn: f}
+	return profile.LocalLoc(f, sym)
 }
 
 // addMissingChis appends chis for profiled LOCs absent from the

@@ -34,13 +34,13 @@ func TestPolicySpeculateBreakEven(t *testing.T) {
 		fp   bool
 		want bool
 	}{
-		{0, false, true},            // nothing ever aliased: always worth it
-		{0.1, false, true},          // below 1/7
-		{0.15, false, false},        // just past the 1/7 break-even
-		{0.5, false, false},         // coin flip never pays at 1-vs-6
-		{1, false, false},           // certain alias: never speculate
-		{0.3, true, true},           // fp saves 8, below 8/21 ≈ 0.38
-		{0.5, true, false},          // above the fp break-even
+		{0, false, true},     // nothing ever aliased: always worth it
+		{0.1, false, true},   // below 1/7
+		{0.15, false, false}, // just past the 1/7 break-even
+		{0.5, false, false},  // coin flip never pays at 1-vs-6
+		{1, false, false},    // certain alias: never speculate
+		{0.3, true, true},    // fp saves 8, below 8/21 ≈ 0.38
+		{0.5, true, false},   // above the fp break-even
 		{0, true, true},
 		{1, true, false},
 	}
@@ -83,9 +83,9 @@ func TestAliasProb(t *testing.T) {
 		count, total uint64
 		want         float64
 	}{
-		{0, 0, 0},    // v1 profile, never observed
-		{5, 0, 1},    // v1 profile, observed: set semantics
-		{0, 100, 0},  // counted, never observed
+		{0, 0, 0},   // v1 profile, never observed
+		{5, 0, 1},   // v1 profile, observed: set semantics
+		{0, 100, 0}, // counted, never observed
 		{25, 100, 0.25},
 		{100, 100, 1},
 		{250, 100, 1}, // call sites can touch a LOC many times per call
@@ -129,7 +129,7 @@ func TestCostModeFlagsByProbability(t *testing.T) {
 				for _, st := range blk.Stmts {
 					if is, ok := st.(*ir.IStore); ok {
 						if c.count > 0 {
-							prof.StoreSet(is.Site).AddN(profile.Loc{Kind: profile.LocGlobal, Sym: aSym}, c.count)
+							prof.StoreSet(is.Site).AddN(profile.GlobalLoc(aSym), c.count)
 						}
 						prof.SiteTotal[is.Site] = 100
 					}
@@ -176,7 +176,7 @@ func TestCostModeDegradesToSetSemantics(t *testing.T) {
 		for _, blk := range main.Blocks {
 			for _, st := range blk.Stmts {
 				if is, ok := st.(*ir.IStore); ok {
-					prof.StoreSet(is.Site).Add(profile.Loc{Kind: profile.LocGlobal, Sym: aSym})
+					prof.StoreSet(is.Site).Add(profile.GlobalLoc(aSym))
 				}
 			}
 		}

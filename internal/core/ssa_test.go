@@ -326,11 +326,11 @@ int main() {
 		for _, st := range blk.Stmts {
 			switch s := st.(type) {
 			case *ir.IStore:
-				prof.StoreSet(s.Site).Add(profile.Loc{Kind: profile.LocGlobal, Sym: bSym})
-				prof.StoreSet(s.Site).Add(profile.Loc{Kind: profile.LocGlobal, Sym: prog.Globals[0]})
+				prof.StoreSet(s.Site).Add(profile.GlobalLoc(bSym))
+				prof.StoreSet(s.Site).Add(profile.GlobalLoc(prog.Globals[0]))
 			case *ir.Assign:
 				if s.RK == ir.RHSLoad {
-					prof.LoadSet(s.Site).Add(profile.Loc{Kind: profile.LocGlobal, Sym: bSym})
+					prof.LoadSet(s.Site).Add(profile.GlobalLoc(bSym))
 				}
 			}
 		}

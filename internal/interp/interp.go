@@ -181,7 +181,7 @@ func (m *machine) callFn(fn *ir.Func, args []uint64) (uint64, error) {
 			}
 		}
 		if m.prof != nil && m.opts.CollectEdges {
-			m.prof.BlockCount[b]++
+			m.prof.BlockCount[profile.BlockOf(fn, b)]++
 		}
 		_ = prev
 		for _, s := range b.Stmts {
@@ -191,7 +191,7 @@ func (m *machine) callFn(fn *ir.Func, args []uint64) (uint64, error) {
 		}
 		switch b.Term.Kind {
 		case ir.TermJump:
-			m.countEdge(b, 0)
+			m.countEdge(fn, b, 0)
 			prev, b = b, b.Succs[0]
 		case ir.TermCond:
 			c, err := m.eval(fr, b.Term.Cond)
@@ -202,7 +202,7 @@ func (m *machine) callFn(fn *ir.Func, args []uint64) (uint64, error) {
 			if int64(c) != 0 {
 				idx = 0
 			}
-			m.countEdge(b, idx)
+			m.countEdge(fn, b, idx)
 			prev, b = b, b.Succs[idx]
 		case ir.TermRet:
 			if b.Term.Val == nil {
@@ -215,14 +215,15 @@ func (m *machine) callFn(fn *ir.Func, args []uint64) (uint64, error) {
 	}
 }
 
-func (m *machine) countEdge(b *ir.Block, idx int) {
+func (m *machine) countEdge(fn *ir.Func, b *ir.Block, idx int) {
 	if m.prof == nil || !m.opts.CollectEdges {
 		return
 	}
-	counts := m.prof.EdgeCount[b]
+	k := profile.BlockOf(fn, b)
+	counts := m.prof.EdgeCount[k]
 	if counts == nil {
 		counts = make([]uint64, len(b.Succs))
-		m.prof.EdgeCount[b] = counts
+		m.prof.EdgeCount[k] = counts
 	}
 	counts[idx]++
 }
@@ -513,10 +514,10 @@ func (m *machine) recordDirectRef(s *ir.Sym, isMod bool) {
 	}
 	var loc profile.Loc
 	if s.Kind == ir.SymGlobal {
-		loc = profile.Loc{Kind: profile.LocGlobal, Sym: s}
+		loc = profile.GlobalLoc(s)
 	} else {
 		fr := m.frames[len(m.frames)-1]
-		loc = profile.Loc{Kind: profile.LocLocal, Sym: s, Fn: fr.fn}
+		loc = profile.LocalLoc(fr.fn, s)
 	}
 	if isMod {
 		for _, cs := range m.callSites {
@@ -544,7 +545,7 @@ func (m *machine) locate(addr int) (profile.Loc, bool) {
 		}
 		g := m.globals[i]
 		if addr < g.Addr+g.Type.Size() {
-			return profile.Loc{Kind: profile.LocGlobal, Sym: g}, true
+			return profile.GlobalLoc(g), true
 		}
 		return profile.Loc{}, false
 	case addr < m.mem.HeapBase():
@@ -556,7 +557,7 @@ func (m *machine) locate(addr int) (profile.Loc, bool) {
 				for _, s := range fr.fn.Syms {
 					if s.Kind != ir.SymVirtual && s.Kind != ir.SymGlobal && s.InMemory() {
 						if off >= s.Addr && off < s.Addr+s.Type.Size() {
-							return profile.Loc{Kind: profile.LocLocal, Sym: s, Fn: fr.fn}, true
+							return profile.LocalLoc(fr.fn, s), true
 						}
 					}
 				}
@@ -573,7 +574,7 @@ func (m *machine) locate(addr int) (profile.Loc, bool) {
 		}
 		h := m.heap[i]
 		if addr < h.start+h.size {
-			return profile.Loc{Kind: profile.LocHeap, Site: h.site, Ctx: h.ctx}, true
+			return profile.HeapLoc(h.site, h.ctx), true
 		}
 		return profile.Loc{}, false
 	}

@@ -339,13 +339,13 @@ int main() {
 		t.Fatalf("expected 1 store site, got %d", len(prof.StoreLocs))
 	}
 	for site, locs := range prof.StoreLocs {
-		if got := locs.String(); got != "{b}" {
+		if got := locs.Format(prog); got != "{b}" {
 			t.Errorf("store site %d LOC set = %s, want {b}", site, got)
 		}
 	}
 	foundLoad := false
 	for _, locs := range prof.LoadLocs {
-		if locs.String() == "{b}" {
+		if locs.Format(prog) == "{b}" {
 			foundLoad = true
 		}
 	}
@@ -367,7 +367,7 @@ int main() {
 	heapSeen := false
 	for _, locs := range prof.StoreLocs {
 		for l := range locs {
-			if strings.HasPrefix(l.String(), "heap@") {
+			if strings.HasPrefix(l.Name(prog), "heap@") {
 				heapSeen = true
 			}
 		}
@@ -389,7 +389,7 @@ int main() {
 	prof := runWithProfile(t, prog, nil)
 	found := false
 	for _, mods := range prof.CallMod {
-		if mods.String() == "{g}" {
+		if mods.Format(prog) == "{g}" {
 			found = true
 		}
 	}
@@ -482,7 +482,7 @@ int main() {
 	slotLocs := map[profile.Loc]bool{}
 	for _, set := range prof.LoadLocs {
 		for l := range set {
-			if l.Kind == profile.LocLocal && l.Sym.Name == "slot" {
+			if _, sym := l.Var(prog); l.Kind == profile.LocLocal && sym.Name == "slot" {
 				slotLocs[l] = true
 			}
 		}

@@ -96,6 +96,7 @@ type Func struct {
 	FrameSize int
 
 	prog    *Program
+	index   int // position in prog.Funcs
 	nextSym int
 	nextBlk int
 	arena   *arena // slab allocator for this function's IR objects (see arena.go)
@@ -123,7 +124,7 @@ func NewProgram() *Program {
 
 // NewFunc creates a function, registers it, and returns it.
 func (p *Program) NewFunc(name string, ret *Type) *Func {
-	f := &Func{Name: name, RetType: ret, prog: p}
+	f := &Func{Name: name, RetType: ret, prog: p, index: len(p.Funcs)}
 	p.Funcs = append(p.Funcs, f)
 	p.FuncMap[name] = f
 	return f
@@ -150,6 +151,26 @@ func (p *Program) NumSites() int { return p.nextSite }
 
 // Prog returns the program owning the function.
 func (f *Func) Prog() *Program { return f.prog }
+
+// Index returns the function's position in its program's Funcs. It is
+// the same in every Clone, so it names the function across copies of
+// one program (profiles key their per-function data by it).
+func (f *Func) Index() int { return f.index }
+
+// SymByID returns the function-scope symbol with the given ID, or nil.
+func (f *Func) SymByID(id int) *Sym { return symByID(f.Syms, id) }
+
+// GlobalByID returns the global with the given ID, or nil.
+func (p *Program) GlobalByID(id int) *Sym { return symByID(p.Globals, id) }
+
+// symByID finds id in syms: the factory methods number symbols by
+// their position in the owning list.
+func symByID(syms []*Sym, id int) *Sym {
+	if id >= 0 && id < len(syms) {
+		return syms[id]
+	}
+	return nil
+}
 
 // NewSym creates a function-scope symbol (arena-allocated; see arena.go).
 func (f *Func) NewSym(name string, t *Type, kind SymKind) *Sym {

@@ -468,6 +468,7 @@ func (c *cloner) fn(f *Func, np *Program) *Func {
 		RetType:   f.RetType,
 		FrameSize: f.FrameSize,
 		prog:      np,
+		index:     f.index,
 		nextSym:   f.nextSym,
 		nextBlk:   f.nextBlk,
 		arena:     c.newA,

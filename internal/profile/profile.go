@@ -31,12 +31,17 @@ const (
 	LocHeap
 )
 
-// Loc is an abstract memory location (storage name). Comparable; used as a
-// map key in LOC sets.
+// Loc is an abstract memory location (storage name). Variables are named
+// by position, never by pointer: the owning function's index in
+// Program.Funcs and the symbol's Sym.ID. Both are the same in every
+// ir.Clone of a program, so one profile serves every copy of the
+// program it was collected on, and a decoded profile can be shared
+// read-only by concurrent compiles. Comparable; used as a map key in
+// LOC sets.
 type Loc struct {
 	Kind LocKind
-	Sym  *ir.Sym // for LocGlobal / LocLocal
-	Fn   *ir.Func
+	Fn   int // LocLocal: the owning function's Func.Index
+	Sym  int // LocGlobal / LocLocal: the variable's Sym.ID
 	Site int // for LocHeap: allocation-site id
 	// Ctx is the immediate caller's call-site id for heap objects
 	// allocated inside a callee (1-level call-path naming, the
@@ -44,19 +49,49 @@ type Loc struct {
 	Ctx int
 }
 
-func (l Loc) String() string {
+// GlobalLoc names a global variable.
+func GlobalLoc(s *ir.Sym) Loc { return Loc{Kind: LocGlobal, Sym: s.ID} }
+
+// LocalLoc names a function-scope variable of f.
+func LocalLoc(f *ir.Func, s *ir.Sym) Loc { return Loc{Kind: LocLocal, Fn: f.Index(), Sym: s.ID} }
+
+// HeapLoc names the heap objects of one allocation site and calling
+// context.
+func HeapLoc(site, ctx int) Loc { return Loc{Kind: LocHeap, Site: site, Ctx: ctx} }
+
+// Var resolves a global or local Loc to its function (nil for globals)
+// and symbol in prog; the symbol is nil when prog has no such variable
+// or the Loc names heap storage.
+func (l Loc) Var(prog *ir.Program) (*ir.Func, *ir.Sym) {
 	switch l.Kind {
 	case LocGlobal:
-		return l.Sym.Name
+		return nil, prog.GlobalByID(l.Sym)
 	case LocLocal:
-		return l.Fn.Name + ":" + l.Sym.Name
-	case LocHeap:
+		if l.Fn >= 0 && l.Fn < len(prog.Funcs) {
+			f := prog.Funcs[l.Fn]
+			return f, f.SymByID(l.Sym)
+		}
+	}
+	return nil, nil
+}
+
+// Name renders the location against the program it names variables of:
+// "g", "f:x" or "heap@site[/ctx]"; "loc?" when it does not resolve.
+func (l Loc) Name(prog *ir.Program) string {
+	if l.Kind == LocHeap {
 		if l.Ctx != 0 {
 			return fmt.Sprintf("heap@%d/%d", l.Site, l.Ctx)
 		}
 		return fmt.Sprintf("heap@%d", l.Site)
 	}
-	return "loc?"
+	f, s := l.Var(prog)
+	switch {
+	case s == nil:
+		return "loc?"
+	case f == nil:
+		return s.Name
+	}
+	return f.Name + ":" + s.Name
 }
 
 // LocSet is a counted multiset of abstract memory locations: the value is
@@ -84,26 +119,38 @@ func (s LocSet) AddAll(t LocSet) {
 	}
 }
 
-// String renders the set of member locations deterministically for golden
-// tests (counts are not rendered; the set view is the stable surface).
-func (s LocSet) String() string {
+// Format renders the set of member locations, named against prog,
+// deterministically for golden tests (counts are not rendered; the set
+// view is the stable surface).
+func (s LocSet) Format(prog *ir.Program) string {
 	var names []string
 	for l, n := range s {
 		if n > 0 {
-			names = append(names, l.String())
+			names = append(names, l.Name(prog))
 		}
 	}
 	sort.Strings(names)
 	return "{" + strings.Join(names, ", ") + "}"
 }
 
+// BlockKey names a basic block across copies of one program: its
+// function's Func.Index and its Block.ID.
+type BlockKey struct{ Fn, Block int }
+
+// BlockOf returns the key of block b of function f.
+func BlockOf(f *ir.Func, b *ir.Block) BlockKey { return BlockKey{f.Index(), b.ID} }
+
 // Profile aggregates everything a profiling run of the interpreter
-// collects.
+// collects. It holds no pointers into the program (blocks and variables
+// are named by BlockKey and Loc), so a decoded profile is immutable
+// shared data: the compile cache hands one copy to every compile of
+// the same source and training input.
 type Profile struct {
 	// BlockCount is the execution count of each basic block.
-	BlockCount map[*ir.Block]uint64
-	// EdgeCount[b][i] is the count of the edge b -> b.Succs[i].
-	EdgeCount map[*ir.Block][]uint64
+	BlockCount map[BlockKey]uint64
+	// EdgeCount[k][i] is the count of the edge from block k to its
+	// Succs[i].
+	EdgeCount map[BlockKey][]uint64
 
 	// LoadLocs maps an indirect-load site id to the LOCs it read.
 	LoadLocs map[int]LocSet
@@ -127,8 +174,8 @@ type Profile struct {
 // New returns an empty profile.
 func New() *Profile {
 	return &Profile{
-		BlockCount: map[*ir.Block]uint64{},
-		EdgeCount:  map[*ir.Block][]uint64{},
+		BlockCount: map[BlockKey]uint64{},
+		EdgeCount:  map[BlockKey][]uint64{},
 		LoadLocs:   map[int]LocSet{},
 		StoreLocs:  map[int]LocSet{},
 		CallMod:    map[int]LocSet{},
@@ -197,15 +244,16 @@ func (p *Profile) Total(site int) uint64 { return p.SiteTotal[site] }
 // frequency comparison the optimizer makes.
 func (p *Profile) ApplyEdges(prog *ir.Program) {
 	for _, fn := range prog.Funcs {
-		entry := float64(p.BlockCount[fn.Entry])
+		entry := float64(p.BlockCount[BlockOf(fn, fn.Entry)])
 		for _, b := range fn.Blocks {
 			b.Freq = 0
-			counts := p.EdgeCount[b]
+			k := BlockOf(fn, b)
+			counts := p.EdgeCount[k]
 			b.EdgeFreq = make([]float64, len(b.Succs))
 			if entry == 0 {
 				continue
 			}
-			b.Freq = float64(p.BlockCount[b]) / entry
+			b.Freq = float64(p.BlockCount[k]) / entry
 			for i := range b.Succs {
 				if i < len(counts) {
 					b.EdgeFreq[i] = float64(counts[i]) / entry

@@ -7,7 +7,7 @@ import (
 	"repro/internal/ir"
 )
 
-func TestLocStringForms(t *testing.T) {
+func TestLocNameForms(t *testing.T) {
 	prog := ir.NewProgram()
 	g := prog.NewGlobal("glob", ir.IntType)
 	f := prog.NewFunc("fn", ir.VoidType)
@@ -17,14 +17,14 @@ func TestLocStringForms(t *testing.T) {
 		loc  Loc
 		want string
 	}{
-		{Loc{Kind: LocGlobal, Sym: g}, "glob"},
-		{Loc{Kind: LocLocal, Sym: l, Fn: f}, "fn:loc"},
-		{Loc{Kind: LocHeap, Site: 7}, "heap@7"},
-		{Loc{Kind: LocHeap, Site: 7, Ctx: 3}, "heap@7/3"},
+		{GlobalLoc(g), "glob"},
+		{LocalLoc(f, l), "fn:loc"},
+		{HeapLoc(7, 0), "heap@7"},
+		{HeapLoc(7, 3), "heap@7/3"},
 	}
 	for _, c := range cases {
-		if got := c.loc.String(); got != c.want {
-			t.Errorf("Loc.String() = %q, want %q", got, c.want)
+		if got := c.loc.Name(prog); got != c.want {
+			t.Errorf("Loc.Name() = %q, want %q", got, c.want)
 		}
 	}
 }
@@ -34,8 +34,8 @@ func TestLocSetOperations(t *testing.T) {
 	a := prog.NewGlobal("a", ir.IntType)
 	b := prog.NewGlobal("b", ir.IntType)
 	s := LocSet{}
-	la := Loc{Kind: LocGlobal, Sym: a}
-	lb := Loc{Kind: LocGlobal, Sym: b}
+	la := GlobalLoc(a)
+	lb := GlobalLoc(b)
 	s.Add(la)
 	if !s.Has(la) || s.Has(lb) {
 		t.Error("Add/Has broken")
@@ -47,17 +47,17 @@ func TestLocSetOperations(t *testing.T) {
 		t.Error("AddAll broken")
 	}
 	// deterministic, sorted rendering
-	if got := s.String(); got != "{a, b}" {
-		t.Errorf("String() = %q", got)
+	if got := s.Format(prog); got != "{a, b}" {
+		t.Errorf("Format() = %q", got)
 	}
 }
 
 func TestProfileSetAccessorsCreateOnDemand(t *testing.T) {
 	p := New()
-	p.LoadSet(1).Add(Loc{Kind: LocHeap, Site: 9})
-	p.StoreSet(2).Add(Loc{Kind: LocHeap, Site: 9})
-	p.ModSet(3).Add(Loc{Kind: LocHeap, Site: 9})
-	p.RefSet(4).Add(Loc{Kind: LocHeap, Site: 9})
+	p.LoadSet(1).Add(HeapLoc(9, 0))
+	p.StoreSet(2).Add(HeapLoc(9, 0))
+	p.ModSet(3).Add(HeapLoc(9, 0))
+	p.RefSet(4).Add(HeapLoc(9, 0))
 	if len(p.LoadLocs) != 1 || len(p.StoreLocs) != 1 || len(p.CallMod) != 1 || len(p.CallRef) != 1 {
 		t.Error("set accessors did not register their maps")
 	}
@@ -85,13 +85,13 @@ func buildDiamond() (*ir.Program, *ir.Func, []*ir.Block) {
 }
 
 func TestApplyEdges(t *testing.T) {
-	prog, _, blocks := buildDiamond()
+	prog, f, blocks := buildDiamond()
 	p := New()
-	p.BlockCount[blocks[0]] = 100
-	p.BlockCount[blocks[1]] = 70
-	p.BlockCount[blocks[2]] = 30
-	p.BlockCount[blocks[3]] = 100
-	p.EdgeCount[blocks[0]] = []uint64{70, 30}
+	p.BlockCount[BlockOf(f, blocks[0])] = 100
+	p.BlockCount[BlockOf(f, blocks[1])] = 70
+	p.BlockCount[BlockOf(f, blocks[2])] = 30
+	p.BlockCount[BlockOf(f, blocks[3])] = 100
+	p.EdgeCount[BlockOf(f, blocks[0])] = []uint64{70, 30}
 	p.ApplyEdges(prog)
 	// frequencies are per-entry: entry is 1 no matter how many times the
 	// training input called the function
@@ -131,15 +131,15 @@ func TestApplyEdgesNormalizesPerFunction(t *testing.T) {
 		join.Term = ir.Term{Kind: ir.TermRet}
 		return f, []*ir.Block{entry, left, right, join}
 	}
-	_, mb := mkDiamond("main")
-	_, hb := mkDiamond("helper")
+	mf, mb := mkDiamond("main")
+	hf, hb := mkDiamond("helper")
 
 	p := New()
 	// main runs once, helper 1000 times; both split 70/30 per entry
-	p.BlockCount[mb[0]], p.BlockCount[mb[1]], p.BlockCount[mb[2]], p.BlockCount[mb[3]] = 1, 1, 0, 1
-	p.EdgeCount[mb[0]] = []uint64{1, 0}
-	p.BlockCount[hb[0]], p.BlockCount[hb[1]], p.BlockCount[hb[2]], p.BlockCount[hb[3]] = 1000, 700, 300, 1000
-	p.EdgeCount[hb[0]] = []uint64{700, 300}
+	p.BlockCount[BlockOf(mf, mb[0])], p.BlockCount[BlockOf(mf, mb[1])], p.BlockCount[BlockOf(mf, mb[2])], p.BlockCount[BlockOf(mf, mb[3])] = 1, 1, 0, 1
+	p.EdgeCount[BlockOf(mf, mb[0])] = []uint64{1, 0}
+	p.BlockCount[BlockOf(hf, hb[0])], p.BlockCount[BlockOf(hf, hb[1])], p.BlockCount[BlockOf(hf, hb[2])], p.BlockCount[BlockOf(hf, hb[3])] = 1000, 700, 300, 1000
+	p.EdgeCount[BlockOf(hf, hb[0])] = []uint64{700, 300}
 	p.ApplyEdges(prog)
 
 	if mb[0].Freq != 1 || hb[0].Freq != 1 {
@@ -239,7 +239,7 @@ func abs(x float64) float64 {
 	return x
 }
 
-func TestLocSetStringStable(t *testing.T) {
+func TestLocSetFormatStable(t *testing.T) {
 	prog := ir.NewProgram()
 	syms := []*ir.Sym{
 		prog.NewGlobal("zz", ir.IntType),
@@ -248,12 +248,12 @@ func TestLocSetStringStable(t *testing.T) {
 	}
 	s := LocSet{}
 	for _, sym := range syms {
-		s.Add(Loc{Kind: LocGlobal, Sym: sym})
+		s.Add(GlobalLoc(sym))
 	}
-	first := s.String()
+	first := s.Format(prog)
 	for i := 0; i < 20; i++ {
-		if s.String() != first {
-			t.Fatal("LocSet.String() not deterministic")
+		if s.Format(prog) != first {
+			t.Fatal("LocSet.Format() not deterministic")
 		}
 	}
 	if !strings.HasPrefix(first, "{aa") {
@@ -262,19 +262,17 @@ func TestLocSetStringStable(t *testing.T) {
 }
 
 func TestProfileSerializationRoundTrip(t *testing.T) {
-	prog, fn, blocks := func() (*ir.Program, *ir.Func, []*ir.Block) {
-		return buildDiamondNamed()
-	}()
-	_ = fn
+	prog, fn, blocks := buildDiamondNamed()
+	entry := BlockOf(fn, blocks[0])
 	p := New()
-	p.BlockCount[blocks[0]] = 42
-	p.EdgeCount[blocks[0]] = []uint64{30, 12}
+	p.BlockCount[entry] = 42
+	p.EdgeCount[entry] = []uint64{30, 12}
 	g := prog.Globals[0]
-	p.LoadSet(5).Add(Loc{Kind: LocGlobal, Sym: g})
-	p.LoadSet(5).Add(Loc{Kind: LocHeap, Site: 9, Ctx: 2})
-	p.StoreSet(6).Add(Loc{Kind: LocLocal, Sym: fnLocal(prog), Fn: prog.Funcs[0]})
-	p.ModSet(7).Add(Loc{Kind: LocGlobal, Sym: g})
-	p.RefSet(8).Add(Loc{Kind: LocHeap, Site: 3, Ctx: 0})
+	p.LoadSet(5).Add(GlobalLoc(g))
+	p.LoadSet(5).Add(HeapLoc(9, 2))
+	p.StoreSet(6).Add(LocalLoc(prog.Funcs[0], fnLocal(prog)))
+	p.ModSet(7).Add(GlobalLoc(g))
+	p.RefSet(8).Add(HeapLoc(3, 0))
 
 	data, err := Marshal(prog, p)
 	if err != nil {
@@ -284,22 +282,22 @@ func TestProfileSerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2.BlockCount[blocks[0]] != 42 {
+	if p2.BlockCount[entry] != 42 {
 		t.Errorf("block count lost: %v", p2.BlockCount)
 	}
-	if len(p2.EdgeCount[blocks[0]]) != 2 || p2.EdgeCount[blocks[0]][0] != 30 {
+	if len(p2.EdgeCount[entry]) != 2 || p2.EdgeCount[entry][0] != 30 {
 		t.Errorf("edge counts lost: %v", p2.EdgeCount)
 	}
-	if p.LoadLocs[5].String() != p2.LoadLocs[5].String() {
-		t.Errorf("load locs: %s != %s", p2.LoadLocs[5], p.LoadLocs[5])
+	if p.LoadLocs[5].Format(prog) != p2.LoadLocs[5].Format(prog) {
+		t.Errorf("load locs: %s != %s", p2.LoadLocs[5].Format(prog), p.LoadLocs[5].Format(prog))
 	}
-	if p.StoreLocs[6].String() != p2.StoreLocs[6].String() {
-		t.Errorf("store locs: %s != %s", p2.StoreLocs[6], p.StoreLocs[6])
+	if p.StoreLocs[6].Format(prog) != p2.StoreLocs[6].Format(prog) {
+		t.Errorf("store locs: %s != %s", p2.StoreLocs[6].Format(prog), p.StoreLocs[6].Format(prog))
 	}
-	if p.CallMod[7].String() != p2.CallMod[7].String() {
+	if p.CallMod[7].Format(prog) != p2.CallMod[7].Format(prog) {
 		t.Errorf("mod locs mismatch")
 	}
-	if p.CallRef[8].String() != p2.CallRef[8].String() {
+	if p.CallRef[8].Format(prog) != p2.CallRef[8].Format(prog) {
 		t.Errorf("ref locs mismatch")
 	}
 }
@@ -311,11 +309,11 @@ func TestUnmarshalToleratesStaleLocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.LoadLocs[5].Has(Loc{Kind: LocHeap, Site: 1}) {
+	if !p.LoadLocs[5].Has(HeapLoc(1, 0)) {
 		t.Error("valid loc dropped alongside the stale one")
 	}
 	if len(p.LoadLocs[5]) != 1 {
-		t.Errorf("stale loc kept: %s", p.LoadLocs[5])
+		t.Errorf("stale loc kept: %s", p.LoadLocs[5].Format(prog))
 	}
 }
 
@@ -337,10 +335,10 @@ func TestSerializationKeepsCountsAndTotals(t *testing.T) {
 	prog, _, _ := buildDiamondNamed()
 	g := prog.Globals[0]
 	p := New()
-	p.LoadSet(5).AddN(Loc{Kind: LocGlobal, Sym: g}, 7)
-	p.LoadSet(5).Add(Loc{Kind: LocHeap, Site: 9, Ctx: 2})
+	p.LoadSet(5).AddN(GlobalLoc(g), 7)
+	p.LoadSet(5).Add(HeapLoc(9, 2))
 	p.SiteTotal[5] = 100
-	p.StoreSet(6).AddN(Loc{Kind: LocLocal, Sym: fnLocal(prog), Fn: prog.Funcs[0]}, 3)
+	p.StoreSet(6).AddN(LocalLoc(prog.Funcs[0], fnLocal(prog)), 3)
 	p.SiteTotal[6] = 40
 
 	data, err := Marshal(prog, p)
@@ -351,16 +349,16 @@ func TestSerializationKeepsCountsAndTotals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p2.LoadLocs[5].Count(Loc{Kind: LocGlobal, Sym: g}); got != 7 {
+	if got := p2.LoadLocs[5].Count(GlobalLoc(g)); got != 7 {
 		t.Errorf("load count = %d, want 7", got)
 	}
-	if got := p2.LoadLocs[5].Count(Loc{Kind: LocHeap, Site: 9, Ctx: 2}); got != 1 {
+	if got := p2.LoadLocs[5].Count(HeapLoc(9, 2)); got != 1 {
 		t.Errorf("heap load count = %d, want 1", got)
 	}
 	if p2.Total(5) != 100 || p2.Total(6) != 40 {
 		t.Errorf("totals = %d, %d, want 100, 40", p2.Total(5), p2.Total(6))
 	}
-	if got := p2.StoreLocs[6].Count(Loc{Kind: LocLocal, Sym: fnLocal(prog), Fn: prog.Funcs[0]}); got != 3 {
+	if got := p2.StoreLocs[6].Count(LocalLoc(prog.Funcs[0], fnLocal(prog))); got != 3 {
 		t.Errorf("store count = %d, want 3", got)
 	}
 }
@@ -377,13 +375,13 @@ func TestUnmarshalVersion1Compat(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := prog.Globals[0]
-	if !p.LoadLocs[5].Has(Loc{Kind: LocGlobal, Sym: g}) {
+	if !p.LoadLocs[5].Has(GlobalLoc(g)) {
 		t.Error("v1 global load loc lost")
 	}
-	if got := p.LoadLocs[5].Count(Loc{Kind: LocGlobal, Sym: g}); got != 1 {
+	if got := p.LoadLocs[5].Count(GlobalLoc(g)); got != 1 {
 		t.Errorf("v1 load count = %d, want 1", got)
 	}
-	if !p.StoreLocs[6].Has(Loc{Kind: LocLocal, Sym: fnLocal(prog), Fn: prog.Funcs[0]}) {
+	if !p.StoreLocs[6].Has(LocalLoc(prog.Funcs[0], fnLocal(prog))) {
 		t.Error("v1 store loc lost")
 	}
 	if p.Total(5) != 0 || p.Total(6) != 0 {

@@ -40,17 +40,20 @@ type serializedV1 struct {
 	CallRef map[string][]string `json:"callref,omitempty"`
 }
 
-// encodeLoc renders a Loc as a stable string.
-func encodeLoc(l Loc) string {
-	switch l.Kind {
-	case LocGlobal:
-		return "g:" + l.Sym.Name
-	case LocLocal:
-		return "l:" + l.Fn.Name + ":" + l.Sym.Name
-	case LocHeap:
+// encodeLoc renders a Loc as a stable string, naming variables against
+// prog ("" when the Loc does not resolve there).
+func encodeLoc(prog *ir.Program, l Loc) string {
+	if l.Kind == LocHeap {
 		return fmt.Sprintf("h:%d/%d", l.Site, l.Ctx)
 	}
-	return ""
+	f, sym := l.Var(prog)
+	switch {
+	case sym == nil:
+		return ""
+	case f == nil:
+		return "g:" + sym.Name
+	}
+	return "l:" + f.Name + ":" + sym.Name
 }
 
 // decodeLoc parses an encoded Loc against a program's symbols.
@@ -60,44 +63,42 @@ func decodeLoc(prog *ir.Program, s string) (Loc, error) {
 		name := s[2:]
 		for _, g := range prog.Globals {
 			if g.Name == name {
-				return Loc{Kind: LocGlobal, Sym: g}, nil
+				return GlobalLoc(g), nil
 			}
 		}
 		return Loc{}, fmt.Errorf("profile: unknown global %q", name)
 	case strings.HasPrefix(s, "l:"):
-		parts := strings.SplitN(s[2:], ":", 2)
-		if len(parts) != 2 {
+		fname, vname, ok := strings.Cut(s[2:], ":")
+		if !ok {
 			return Loc{}, fmt.Errorf("profile: malformed local loc %q", s)
 		}
-		fn, ok := prog.FuncMap[parts[0]]
+		fn, ok := prog.FuncMap[fname]
 		if !ok {
-			return Loc{}, fmt.Errorf("profile: unknown function %q", parts[0])
+			return Loc{}, fmt.Errorf("profile: unknown function %q", fname)
 		}
 		for _, sym := range fn.Syms {
-			if sym.Name == parts[1] {
-				return Loc{Kind: LocLocal, Sym: sym, Fn: fn}, nil
+			if sym.Name == vname {
+				return LocalLoc(fn, sym), nil
 			}
 		}
-		return Loc{}, fmt.Errorf("profile: unknown local %q in %q", parts[1], parts[0])
+		return Loc{}, fmt.Errorf("profile: unknown local %q in %q", vname, fname)
 	case strings.HasPrefix(s, "h:"):
 		var site, ctx int
 		if _, err := fmt.Sscanf(s[2:], "%d/%d", &site, &ctx); err != nil {
 			return Loc{}, fmt.Errorf("profile: malformed heap loc %q", s)
 		}
-		return Loc{Kind: LocHeap, Site: site, Ctx: ctx}, nil
+		return HeapLoc(site, ctx), nil
 	}
 	return Loc{}, fmt.Errorf("profile: malformed loc %q", s)
 }
 
-// blockKeys builds the stable name of every block.
-func blockKeys(prog *ir.Program) map[*ir.Block]string {
-	m := map[*ir.Block]string{}
-	for _, f := range prog.Funcs {
-		for _, b := range f.Blocks {
-			m[b] = fmt.Sprintf("%s:B%d", f.Name, b.ID)
-		}
+// blockName renders a BlockKey as its stable "func:Bn" name in prog
+// ("" when prog has no such function).
+func blockName(prog *ir.Program, k BlockKey) string {
+	if k.Fn < 0 || k.Fn >= len(prog.Funcs) {
+		return ""
 	}
-	return m
+	return fmt.Sprintf("%s:B%d", prog.Funcs[k.Fn].Name, k.Block)
 }
 
 // Marshal serializes a profile collected on prog (format Version).
@@ -112,22 +113,23 @@ func Marshal(prog *ir.Program, p *Profile) ([]byte, error) {
 		CallRef: map[string]map[string]uint64{},
 		Totals:  map[string]uint64{},
 	}
-	keys := blockKeys(prog)
-	for b, c := range p.BlockCount {
-		if k, ok := keys[b]; ok {
-			out.Blocks[k] = c
+	for k, c := range p.BlockCount {
+		if name := blockName(prog, k); name != "" {
+			out.Blocks[name] = c
 		}
 	}
-	for b, counts := range p.EdgeCount {
-		if k, ok := keys[b]; ok {
-			out.Edges[k] = counts
+	for k, counts := range p.EdgeCount {
+		if name := blockName(prog, k); name != "" {
+			out.Edges[name] = counts
 		}
 	}
 	encodeSets := func(dst map[string]map[string]uint64, src map[int]LocSet) {
 		for site, set := range src {
 			locs := make(map[string]uint64, len(set))
 			for l, n := range set {
-				locs[encodeLoc(l)] = n
+				if name := encodeLoc(prog, l); name != "" {
+					locs[name] = n
+				}
 			}
 			// map keys marshal sorted, so the output is stable for
 			// diffing and golden tests
@@ -168,10 +170,10 @@ func Unmarshal(prog *ir.Program, data []byte) (*Profile, error) {
 // decodeBlocks fills BlockCount/EdgeCount from the (version-independent)
 // block and edge maps.
 func decodeBlocks(prog *ir.Program, p *Profile, inBlocks map[string]uint64, inEdges map[string][]uint64) {
-	blocks := map[string]*ir.Block{}
+	blocks := map[string]BlockKey{}
 	for _, f := range prog.Funcs {
 		for _, b := range f.Blocks {
-			blocks[fmt.Sprintf("%s:B%d", f.Name, b.ID)] = b
+			blocks[fmt.Sprintf("%s:B%d", f.Name, b.ID)] = BlockOf(f, b)
 		}
 	}
 	for k, c := range inBlocks {
