@@ -41,9 +41,10 @@ func TestSweepProfilesOncePerPair(t *testing.T) {
 	if got := repro.ProfilingRuns() - runs0; got != n {
 		t.Errorf("cold sweep ran the profiling interpreter %d times, want exactly %d (one per workload)", got, n)
 	}
-	// one frontend parse + one profiling run per workload
-	if got := repro.CacheStats().Computes - stats0.Computes; got != 2*n {
-		t.Errorf("cold sweep computed %d cache entries, want %d", got, 2*n)
+	// one frontend parse, one profiling run and one profile decode per
+	// workload
+	if got := repro.CacheStats().Computes - stats0.Computes; got != 3*n {
+		t.Errorf("cold sweep computed %d cache entries, want %d", got, 3*n)
 	}
 	// a second sweep in the same process is fully memoized
 	runs1 := repro.ProfilingRuns()

@@ -116,8 +116,11 @@ func TestAuxExperimentsParallelDeterminism(t *testing.T) {
 }
 
 // TestFrontendCacheDetached pins the cache soundness property: a
-// compilation must never observe mutations made to another compilation of
-// the same source, even though both started from one cached parse.
+// compilation must never observe mutations made to another compilation's
+// optimized IR, even though both started from one cached parse. The
+// reference IR is the other half of the contract: it is the shared,
+// read-only cache master, so every compilation of a source sees the same
+// *ir.Program there.
 func TestFrontendCacheDetached(t *testing.T) {
 	ctx := context.Background()
 	w, _ := workloads.ByName("equake")
@@ -127,11 +130,12 @@ func TestFrontendCacheDetached(t *testing.T) {
 		t.Fatal(err)
 	}
 	refText := c1.Ref.String()
+	progText := c1.Prog.String()
 
-	// vandalize the first compilation's reference program, then compile
+	// vandalize the first compilation's optimized program, then compile
 	// the same source again — the new compile starts from the same cache
 	// master and must be untouched
-	for _, f := range c1.Ref.Funcs {
+	for _, f := range c1.Prog.Funcs {
 		for _, s := range f.Syms {
 			s.Name = "junk_" + s.Name
 		}
@@ -140,7 +144,13 @@ func TestFrontendCacheDetached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if c2.Ref != c1.Ref {
+		t.Fatal("two compilations of one source got different reference programs; want the shared cache master")
+	}
 	if c2.Ref.String() != refText {
+		t.Fatal("mutating one compilation's optimized IR leaked into the cache master")
+	}
+	if c2.Prog.String() != progText {
 		t.Fatal("mutating one compilation's IR leaked into a later compile of the same source")
 	}
 	res1, err := c1.RunCtx(ctx, w.RefArgs)
@@ -161,7 +171,7 @@ func TestFrontendCacheDetached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c3.Ref.String() != refText {
+	if c3.Ref.String() != refText || c3.Prog.String() != progText {
 		t.Fatal("cold compile differs from cached compile")
 	}
 }

@@ -194,10 +194,10 @@ type Compilation struct {
 	Config  Config
 	Source  string
 	Prog    *ir.Program // optimized IR
-	Ref     *ir.Program // unoptimized reference IR (fresh compile)
+	Ref     *ir.Program // unoptimized reference IR: the shared cache master, read-only
 	Code    *machine.Program
 	Stats   map[string]*ssapre.Stats
-	Profile *profile.Profile
+	Profile *profile.Profile // shared with every compile of the same profile key, read-only
 	Alias   *alias.Result
 	// ProfileErr records a failed training run: the profiling
 	// interpreter faulted on Config.ProfileArgs and the compilation fell
@@ -216,16 +216,19 @@ type Compilation struct {
 }
 
 // The compilation cache (internal/cache): the in-memory tier memoizes
-// one pristine lowered program per source hash plus the serialized
-// alias/edge profile per (source, options, training-args) key, and the
-// optional on-disk tier (SetCacheDir) persists the profiles across
-// processes. CompileCtx, CollectProfileCtx, Reference and
-// ReuseLimitWorkersCtx all start from the same parse, and an experiment
-// sweep re-compiles each workload under many config variants, so N
-// variants pay for one parse and one profiling interpreter run instead
-// of N of each. Masters in
-// the cache are never mutated — every caller receives a deep ir.Clone —
-// which is what makes sharing across concurrent compiles sound.
+// one pristine lowered program per source hash, the serialized
+// alias/edge profile per (source, options, training-args) key, and that
+// profile decoded once into a *profile.Profile; the optional on-disk
+// tier (SetCacheDir) persists the serialized profiles across processes.
+// CompileCtx, CollectProfileCtx, Reference and ReuseLimitWorkersCtx all
+// start from the same parse, and an experiment sweep re-compiles each
+// workload under many config variants, so N variants pay for one parse,
+// one profiling interpreter run and one profile decode instead of N of
+// each. Cached values are never mutated, which is what makes sharing
+// across concurrent compiles sound: only callers that transform the IR
+// (the optimizer's copy, the profiling run's refinement) take a deep
+// ir.Clone of the master. Compilation.Ref is the master itself and
+// Compilation.Profile the shared decoded profile; both are read-only.
 const compCacheCap = 512
 
 var (
@@ -233,9 +236,11 @@ var (
 	profilingRuns atomic.Uint64
 )
 
-// frontendCtx parses + lowers IR from source, memoized by source hash;
-// the caller owns the returned clone outright.
-func frontendCtx(ctx context.Context, src string) (*ir.Program, error) {
+// frontendMaster parses + lowers IR from source, memoized by source
+// hash. The returned program is the shared cache master: callers that
+// only read it (the interpreter, profile decoding) use it directly,
+// callers that mutate IR must take an ir.Clone.
+func frontendMaster(ctx context.Context, src string) (*ir.Program, error) {
 	key := cache.KeyOf([]byte("frontend"), []byte(src))
 	v, err := compCache.GetObjectCtx(ctx, key, func() (any, error) {
 		f, err := source.Parse(src)
@@ -247,7 +252,7 @@ func frontendCtx(ctx context.Context, src string) (*ir.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ir.Clone(v.(*ir.Program)), nil
+	return v.(*ir.Program), nil
 }
 
 // profileCacheVersion stamps every profile cache key; bump it whenever
@@ -279,10 +284,11 @@ func profileKey(src string, cfg Config) cache.Key {
 func profileDataCtx(ctx context.Context, src string, cfg Config) ([]byte, error) {
 	return compCache.GetBytesCtx(ctx, profileKey(src, cfg), func() ([]byte, error) {
 		profilingRuns.Add(1)
-		prog, err := frontendCtx(ctx, src)
+		master, err := frontendMaster(ctx, src)
 		if err != nil {
 			return nil, err
 		}
+		prog := ir.Clone(master)
 		alias.RefineWorkers(prog, cfg.Workers)
 		prof := profile.New()
 		if _, err := interp.Run(prog, interp.Options{
@@ -293,6 +299,47 @@ func profileDataCtx(ctx context.Context, src string, cfg Config) ([]byte, error)
 		}
 		return profile.Marshal(prog, prof)
 	})
+}
+
+// trainingError marks a failed training run in profileCtx's result:
+// CompileCtx falls back to the static estimate on it, where any other
+// error fails the compile.
+type trainingError struct{ err error }
+
+func (e trainingError) Error() string { return e.err.Error() }
+func (e trainingError) Unwrap() error { return e.err }
+
+// profileCtx returns the decoded profile for (src, options, training
+// args). It is an in-memory object entry wrapping profileDataCtx's byte
+// entry, the way traceFor wraps the serialized trace: the bytes are
+// decoded once, against the frontend master, and every compile of the
+// key shares the result read-only. A profile names blocks and
+// variables by function index and ID, which every clone of the master
+// shares, so one decode serves them all.
+func profileCtx(ctx context.Context, src string, cfg Config) (*profile.Profile, error) {
+	key := profileKey(src, cfg)
+	v, err := compCache.GetObjectCtx(ctx, cache.KeyOf([]byte("profileobj"), key[:]), func() (any, error) {
+		data, err := profileDataCtx(ctx, src, cfg)
+		if err != nil {
+			if isCtxErr(err) {
+				return nil, err
+			}
+			return nil, trainingError{err}
+		}
+		master, err := frontendMaster(ctx, src)
+		if err != nil {
+			return nil, err
+		}
+		p, err := profile.Unmarshal(master, data)
+		if err != nil {
+			return nil, fmt.Errorf("repro: cached profile: %w", err)
+		}
+		return p, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*profile.Profile), nil
 }
 
 // ProfilingRuns counts the profiling interpreter runs actually executed
@@ -388,8 +435,9 @@ func ResetCaches() { compCache.Reset() }
 // it to completion.
 func CompileCtx(ctx context.Context, src string, cfg Config) (*Compilation, error) {
 	// one frontend run (or cache hit) feeds both programs: the reference
-	// IR stays pristine and the optimizer works on a detached clone
-	ref, err := frontendCtx(ctx, src)
+	// IR is the shared, read-only cache master and the optimizer works
+	// on a detached clone
+	ref, err := frontendMaster(ctx, src)
 	if err != nil {
 		return nil, err
 	}
@@ -433,29 +481,27 @@ func CompileCtx(ctx context.Context, src string, cfg Config) (*Compilation, erro
 			prof.ApplyEdges(prog)
 			c.Profile = prof
 		} else {
-			// the training run is memoized: every variant of a sweep
-			// that shares (source, options, training args) reuses one
-			// interpreter run's serialized profile
-			data, perr := profileDataCtx(ctx, src, cfg)
-			if isCtxErr(perr) {
+			// the training run and its decode are memoized: every variant
+			// of a sweep that shares (source, options, training args)
+			// reuses one interpreter run and one decoded profile
+			p, perr := profileCtx(ctx, src, cfg)
+			var terr trainingError
+			switch {
+			case isCtxErr(perr):
 				// cancellation is not a failed training run; surface it
 				return nil, perr
-			}
-			if perr == nil {
-				p, err := profile.Unmarshal(prog, data)
-				if err != nil {
-					return nil, fmt.Errorf("repro: cached profile: %w", err)
-				}
-				prof = p
-				prof.ApplyEdges(prog)
-				c.Profile = prof
-			} else {
+			case errors.As(perr, &terr):
 				// the training input faulted: fall back to the static
 				// estimate, but record the failure — silently degrading
 				// would skew every profile-guided measurement
-				c.ProfileErr = fmt.Errorf("repro: profiling run failed: %w", perr)
+				c.ProfileErr = fmt.Errorf("repro: profiling run failed: %w", terr.err)
 				profile.StaticEstimate(prog)
-				prof = nil
+			case perr != nil:
+				return nil, perr
+			default:
+				prof = p
+				prof.ApplyEdges(prog)
+				c.Profile = prof
 			}
 		}
 
@@ -790,8 +836,9 @@ func (c *Compilation) EvaluateCtx(ctx context.Context, args []int64, cfgs []mach
 }
 
 // RunReferenceCtx interprets the unoptimized IR (the semantic oracle).
-// The interpreter polls ctx, so a done ctx stops the interpretation
-// promptly, before it starts or mid-run.
+// The interpreter only reads the IR, so concurrent runs share c.Ref. It
+// polls ctx, so a done ctx stops the interpretation promptly, before it
+// starts or mid-run.
 func (c *Compilation) RunReferenceCtx(ctx context.Context, args []int64) (*interp.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -821,7 +868,7 @@ func CollectProfileCtx(ctx context.Context, src string, args []int64) ([]byte, e
 
 // Reference interprets the unoptimized program and returns its result.
 func Reference(src string, args []int64) (*interp.Result, error) {
-	prog, err := frontendCtx(context.Background(), src)
+	prog, err := frontendMaster(context.Background(), src)
 	if err != nil {
 		return nil, err
 	}
@@ -841,7 +888,7 @@ func Reference(src string, args []int64) (*interp.Result, error) {
 // inline during interpretation — the serial path and the equivalence
 // oracle. The frontend cache lookup and the interpreter run honor ctx.
 func ReuseLimitWorkersCtx(ctx context.Context, src string, args []int64, workers int) (*interp.ReuseSim, error) {
-	prog, err := frontendCtx(ctx, src)
+	prog, err := frontendMaster(ctx, src)
 	if err != nil {
 		return nil, err
 	}
