@@ -79,10 +79,15 @@ func newRegState(n int) *regState {
 
 func (s *regState) clone() *regState {
 	t := newRegState(len(s.provider))
-	copy(t.provider, s.provider)
-	copy(t.validated, s.validated)
-	copy(t.crossed, s.crossed)
+	t.copyFrom(s)
 	return t
+}
+
+// copyFrom overwrites s with o (same register count).
+func (s *regState) copyFrom(o *regState) {
+	copy(s.provider, o.provider)
+	copy(s.validated, o.validated)
+	copy(s.crossed, o.crossed)
 }
 
 // meet joins o into s (provider/validated AND, crossed OR); reports change.
@@ -290,11 +295,12 @@ func flowStates(fc *machine.FuncCode, nregs int) []*regState {
 	succs := instrSuccs(fc)
 	in := make([]*regState, n)
 	in[0] = newRegState(nregs)
+	out := newRegState(nregs) // scratch out-state, reused per visit
 	work := []int{0}
 	for len(work) > 0 {
 		i := work[len(work)-1]
 		work = work[:len(work)-1]
-		out := in[i].clone()
+		out.copyFrom(in[i])
 		transfer(out, fc.Instrs[i])
 		for _, s := range succs[i] {
 			if s < 0 || s >= n {

@@ -127,6 +127,13 @@ func (s *taintState) clone() *taintState {
 	return t
 }
 
+// copyFrom overwrites s with o (same register count).
+func (s *taintState) copyFrom(o *taintState) {
+	s.base.copyFrom(o.base)
+	copy(s.poison, o.poison)
+	copy(s.origin, o.origin)
+}
+
 // meet joins o into s: base meets per Layer 2 (provider/validated AND,
 // crossed OR), poison ORs (a leak on some path is a leak), origins take
 // the smallest known index (deterministic under any join order).
@@ -259,11 +266,12 @@ func taintStates(fc *machine.FuncCode, nregs int) []*taintState {
 	succs := instrSuccs(fc)
 	in := make([]*taintState, n)
 	in[0] = newTaintState(nregs)
+	out := newTaintState(nregs) // scratch out-state, reused per visit
 	work := []int{0}
 	for len(work) > 0 {
 		i := work[len(work)-1]
 		work = work[:len(work)-1]
-		out := in[i].clone()
+		out.copyFrom(in[i])
 		taintTransfer(out, fc.Instrs[i], i)
 		for _, s := range succs[i] {
 			if s < 0 || s >= n {
