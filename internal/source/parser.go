@@ -25,6 +25,15 @@ func Parse(src string) (*File, error) {
 func (p *parser) cur() Token  { return p.toks[p.pos] }
 func (p *parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
 
+// peek returns the token k positions ahead of the current one, or the
+// final EOF token when the input ends sooner.
+func (p *parser) peek(k int) Token {
+	if i := p.pos + k; i < len(p.toks) {
+		return p.toks[i]
+	}
+	return p.toks[len(p.toks)-1]
+}
+
 func (p *parser) errf(format string, args ...any) error {
 	t := p.cur()
 	return &Error{Line: t.Line, Col: t.Col, Msg: fmt.Sprintf(format, args...)}
@@ -104,7 +113,7 @@ func (p *parser) parseType() (*ir.Type, error) {
 func (p *parser) file() (*File, error) {
 	f := &File{}
 	for p.cur().Kind != TokEOF {
-		if p.isKeyword("struct") && p.toks[p.pos+2].Kind == TokPunct && p.toks[p.pos+2].Text == "{" {
+		if p.isKeyword("struct") && p.peek(2).Kind == TokPunct && p.peek(2).Text == "{" {
 			sd, err := p.structDecl()
 			if err != nil {
 				return nil, err
@@ -518,7 +527,7 @@ func (p *parser) unary() (Expr, error) {
 			return &Unary{Op: t.Text, X: x, Line: t.Line}, nil
 		case "(":
 			// possibly a cast
-			nt := p.toks[p.pos+1]
+			nt := p.peek(1)
 			if nt.Kind == TokKeyword && (nt.Text == "int" || nt.Text == "double" || nt.Text == "struct") {
 				p.pos++ // (
 				ct, err := p.parseType()

@@ -194,6 +194,8 @@ func TestParseErrors(t *testing.T) {
 		 struct t { struct s bad[2] }`, // missing ; after field
 		`int main() { unknown_t x; return 0; }`, // unknown type keyword → expression error
 		`int main() { break; }`,                 // break outside loop (lower error)
+		`struct`,                                // input ends inside a struct lookahead
+		`int main() { return 0; } struct`,       // same, after a complete function
 	}
 	for _, src := range cases {
 		f, err := Parse(src)

@@ -295,7 +295,7 @@ func loadShapedCheck(a *ir.Assign) bool {
 // store/barrier precedes a load in the same block — the pairs a buggy
 // scheduler could swap.
 type fencedPair struct {
-	b          *ir.Block
+	b           *ir.Block
 	fence, load int
 }
 

@@ -25,9 +25,9 @@ type MemOrder map[*ir.Block][]ir.Stmt
 type memKind int
 
 const (
-	memOther memKind = iota // not memory-relevant
-	kindLoad                // may reorder with other loads, never cross a fence
-	kindFence               // store, call, print, allocation: totally ordered
+	memOther  memKind = iota // not memory-relevant
+	kindLoad                 // may reorder with other loads, never cross a fence
+	kindFence                // store, call, print, allocation: totally ordered
 )
 
 // stmtKind mirrors codegen's stmtMemClass: fences are direct and
