@@ -182,17 +182,22 @@ func (m *Manager) recompile(version uint64, tiers map[string]string, trans []Tra
 		m.asn.Store(&Assignment{Version: version, Tiers: tiers})
 		m.logf("adaptive: published v%d [%s]", version, tierVector(tiers))
 	}
-	m.busy = false
-	m.maybeRecompileLocked()
-	m.cond.Broadcast()
 	cb := m.cfg.OnTransition
 	m.mu.Unlock()
 
+	// report the transitions before the recompile counts as finished, so
+	// a Quiesce caller sees their effects (specd's transition counters)
 	if cb != nil {
 		for _, tr := range trans {
 			cb(tr)
 		}
 	}
+
+	m.mu.Lock()
+	m.busy = false
+	m.maybeRecompileLocked()
+	m.cond.Broadcast()
+	m.mu.Unlock()
 }
 
 // verifyTiers compiles the workload at the tier vector with specheck
@@ -223,7 +228,8 @@ func (m *Manager) verifyTiers(tiers map[string]string) error {
 }
 
 // Quiesce blocks until no recompile is in flight, so every decision
-// made by earlier Observe calls has been published (or reverted).
+// made by earlier Observe calls has been published (or reverted) and
+// reported to OnTransition.
 func (m *Manager) Quiesce() {
 	m.mu.Lock()
 	for m.busy {
