@@ -134,11 +134,15 @@ func (s LocSet) Format(prog *ir.Program) string {
 }
 
 // BlockKey names a basic block across copies of one program: its
-// function's Func.Index and its Block.ID.
-type BlockKey struct{ Fn, Block int }
+// function's Func.Index and its Block.ID. The fields are 32-bit so the
+// key is 8 bytes of plain memory, which gives the interpreter's
+// per-block count updates Go's fast 64-bit map path.
+type BlockKey struct{ Fn, Block int32 }
 
 // BlockOf returns the key of block b of function f.
-func BlockOf(f *ir.Func, b *ir.Block) BlockKey { return BlockKey{f.Index(), b.ID} }
+func BlockOf(f *ir.Func, b *ir.Block) BlockKey {
+	return BlockKey{int32(f.Index()), int32(b.ID)}
+}
 
 // Profile aggregates everything a profiling run of the interpreter
 // collects. It holds no pointers into the program (blocks and variables

@@ -95,7 +95,7 @@ func decodeLoc(prog *ir.Program, s string) (Loc, error) {
 // blockName renders a BlockKey as its stable "func:Bn" name in prog
 // ("" when prog has no such function).
 func blockName(prog *ir.Program, k BlockKey) string {
-	if k.Fn < 0 || k.Fn >= len(prog.Funcs) {
+	if k.Fn < 0 || int(k.Fn) >= len(prog.Funcs) {
 		return ""
 	}
 	return fmt.Sprintf("%s:B%d", prog.Funcs[k.Fn].Name, k.Block)
