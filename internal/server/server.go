@@ -46,6 +46,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/harden"
 	"repro/internal/machine"
+	"repro/internal/source"
 	"repro/internal/specheck"
 	"repro/internal/ssapre"
 	"repro/internal/workloads"
@@ -407,6 +408,11 @@ func (s *Server) handleCompile(ctx context.Context, r *http.Request) (any, error
 	c, err := repro.CompileCtx(ctx, req.Source, cfg)
 	if cfg.VerifyPasses {
 		s.countSpecheck(err)
+	}
+	var srcErr *source.Error
+	if errors.As(err, &srcErr) {
+		// the client's MiniC does not lex, parse or lower
+		return nil, badRequestf("%v", err)
 	}
 	if err != nil {
 		return nil, err

@@ -286,6 +286,9 @@ func TestBadRequests(t *testing.T) {
 		{"/evaluate", `{not json`},
 		{"/evaluate", `{"workload":"equake","bogusField":1}`},
 		{"/compile", `{"source":""}`},
+		{"/compile", `{"source":"struct"}`},
+		{"/compile", `{"source":"int main() { return 0; } struct"}`},
+		{"/compile", `{"source":"int main( {"}`},
 	}
 	for _, c := range cases {
 		resp, err := ts.Client().Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
