@@ -504,8 +504,8 @@ func UnmarshalTrace(data []byte) (*Trace, error) {
 // programs with equal fingerprints execute identically on equal inputs.
 func (p *Program) Fingerprint() [sha256.Size]byte {
 	// the hashed text is "globsize N", one "init A V" line per initialised
-	// slot, then String(); it is streamed one function at a time through
-	// a reused buffer instead of being built as a string
+	// slot, then String(), streamed one function at a time through one
+	// reused buffer so the whole text never exists at once
 	h := sha256.New()
 	buf := strconv.AppendInt(append(make([]byte, 0, 4096), "globsize "...), int64(p.GlobSize), 10)
 	buf = append(buf, '\n')

@@ -117,13 +117,8 @@ func newTaintState(n int) *taintState {
 }
 
 func (s *taintState) clone() *taintState {
-	t := &taintState{
-		base:   s.base.clone(),
-		poison: make([]bool, len(s.poison)),
-		origin: make([]int32, len(s.origin)),
-	}
-	copy(t.poison, s.poison)
-	copy(t.origin, s.origin)
+	t := newTaintState(len(s.poison))
+	t.copyFrom(s)
 	return t
 }
 
