@@ -7,7 +7,7 @@ import (
 	"repro/internal/ir"
 )
 
-func TestLocNameForms(t *testing.T) {
+func TestLocStringForms(t *testing.T) {
 	prog := ir.NewProgram()
 	g := prog.NewGlobal("glob", ir.IntType)
 	f := prog.NewFunc("fn", ir.VoidType)
@@ -239,7 +239,7 @@ func abs(x float64) float64 {
 	return x
 }
 
-func TestLocSetFormatStable(t *testing.T) {
+func TestLocSetStringStable(t *testing.T) {
 	prog := ir.NewProgram()
 	syms := []*ir.Sym{
 		prog.NewGlobal("zz", ir.IntType),
