@@ -15,7 +15,7 @@ import (
 	"repro/internal/workloads"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden/code_fingerprints.txt from the current compiler")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files of the tests run from the current compiler")
 
 const goldenPath = "testdata/golden/code_fingerprints.txt"
 

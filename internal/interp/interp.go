@@ -89,6 +89,9 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 			opts.Profile = profile.New()
 		}
 		m.prof = opts.Profile
+		m.cnt = newCounters(prog, m.prof, opts.CollectEdges, opts.CollectAlias)
+		// every exit, errors included, leaves the counts in the profile
+		defer m.cnt.fold(prog, m.prof)
 	}
 	m.mem = addrspace.New(prog.GlobSize, stackCap, prog.GlobalInit)
 	m.globals = append([]*ir.Sym(nil), prog.Globals...)
@@ -127,6 +130,7 @@ type machine struct {
 	opts    Options
 	out     io.Writer
 	prof    *profile.Profile
+	cnt     *counters // prof's dense counters while the run executes; nil when not profiling
 	mem     addrspace.Space
 	heap    []heapObj
 	globals []*ir.Sym
@@ -168,8 +172,13 @@ func (m *machine) callFn(fn *ir.Func, args []uint64) (uint64, error) {
 			fr.regs[p.ID] = args[i]
 		}
 	}
+	// the function's block and edge counters, nil unless edges are
+	// being collected
+	var blockCount, edgeCount []uint64
+	if m.prof != nil && m.opts.CollectEdges {
+		blockCount, edgeCount = m.cnt.blocks[fn.Index()], m.cnt.edges[fn.Index()]
+	}
 	b := fn.Entry
-	var prev *ir.Block
 	for {
 		m.steps++
 		if m.steps > m.maxSteps {
@@ -180,10 +189,9 @@ func (m *machine) callFn(fn *ir.Func, args []uint64) (uint64, error) {
 				return 0, fmt.Errorf("interp: %w", err)
 			}
 		}
-		if m.prof != nil && m.opts.CollectEdges {
-			m.prof.BlockCount[profile.BlockOf(fn, b)]++
+		if blockCount != nil {
+			blockCount[b.ID]++
 		}
-		_ = prev
 		for _, s := range b.Stmts {
 			if err := m.exec(fr, s); err != nil {
 				return 0, err
@@ -191,8 +199,10 @@ func (m *machine) callFn(fn *ir.Func, args []uint64) (uint64, error) {
 		}
 		switch b.Term.Kind {
 		case ir.TermJump:
-			m.countEdge(fn, b, 0)
-			prev, b = b, b.Succs[0]
+			if edgeCount != nil {
+				edgeCount[2*b.ID]++
+			}
+			b = b.Succs[0]
 		case ir.TermCond:
 			c, err := m.eval(fr, b.Term.Cond)
 			if err != nil {
@@ -202,8 +212,10 @@ func (m *machine) callFn(fn *ir.Func, args []uint64) (uint64, error) {
 			if int64(c) != 0 {
 				idx = 0
 			}
-			m.countEdge(fn, b, idx)
-			prev, b = b, b.Succs[idx]
+			if edgeCount != nil {
+				edgeCount[2*b.ID+idx]++
+			}
+			b = b.Succs[idx]
 		case ir.TermRet:
 			if b.Term.Val == nil {
 				return 0, nil
@@ -213,19 +225,6 @@ func (m *machine) callFn(fn *ir.Func, args []uint64) (uint64, error) {
 			return 0, runtimeErr("block B%d in %s has no terminator", b.ID, fn.Name)
 		}
 	}
-}
-
-func (m *machine) countEdge(fn *ir.Func, b *ir.Block, idx int) {
-	if m.prof == nil || !m.opts.CollectEdges {
-		return
-	}
-	k := profile.BlockOf(fn, b)
-	counts := m.prof.EdgeCount[k]
-	if counts == nil {
-		counts = make([]uint64, len(b.Succs))
-		m.prof.EdgeCount[k] = counts
-	}
-	counts[idx]++
 }
 
 // eval computes the value of a leaf operand.
@@ -402,7 +401,7 @@ func (m *machine) execCall(fr *frame, st *ir.Call) error {
 		args[i] = v
 	}
 	if m.prof != nil && m.opts.CollectAlias && st.Site != 0 {
-		m.prof.AddExec(st.Site)
+		m.cnt.exec(st.Site)
 	}
 	m.callSites = append(m.callSites, st.Site)
 	defer func() { m.callSites = m.callSites[:len(m.callSites)-1] }()
@@ -436,15 +435,15 @@ func (m *machine) loadMem(addr int, site int) (uint64, error) {
 		// address resolves to no nameable LOC — that keeps each LOC's
 		// count/total alias probability at most 1
 		if site != 0 {
-			m.prof.AddExec(site)
+			m.cnt.exec(site)
 		}
 		loc, ok := m.locate(addr)
 		if ok {
 			if site != 0 {
-				m.prof.LoadSet(site).Add(loc)
+				m.cnt.loads.add(site, loc)
 			}
 			for _, cs := range m.callSites {
-				m.prof.RefSet(cs).Add(loc)
+				m.cnt.refs.add(cs, loc)
 			}
 		}
 	}
@@ -465,15 +464,15 @@ func (m *machine) storeMem(addr int, val uint64, site int) error {
 	}
 	if m.prof != nil && m.opts.CollectAlias {
 		if site != 0 {
-			m.prof.AddExec(site)
+			m.cnt.exec(site)
 		}
 		loc, ok := m.locate(addr)
 		if ok {
 			if site != 0 {
-				m.prof.StoreSet(site).Add(loc)
+				m.cnt.stores.add(site, loc)
 			}
 			for _, cs := range m.callSites {
-				m.prof.ModSet(cs).Add(loc)
+				m.cnt.mods.add(cs, loc)
 			}
 		}
 	}
@@ -519,17 +518,12 @@ func (m *machine) recordDirectRef(s *ir.Sym, isMod bool) {
 		fr := m.frames[len(m.frames)-1]
 		loc = profile.LocalLoc(fr.fn, s)
 	}
+	runs := &m.cnt.refs
 	if isMod {
-		for _, cs := range m.callSites {
-			m.prof.ModSet(cs).Add(loc)
-		}
-	} else {
-		for _, cs := range m.callSites {
-			m.prof.RefSet(cs).Add(loc)
-		}
+		runs = &m.cnt.mods
 	}
-	if m.opts.Reuse != nil && len(m.frames) > 0 {
-		// direct refs participate in reuse tracking via loadMem/storeMem
+	for _, cs := range m.callSites {
+		runs.add(cs, loc)
 	}
 }
 

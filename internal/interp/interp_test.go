@@ -320,6 +320,43 @@ func runWithProfile(t *testing.T, prog *ir.Program, args []int64) *profile.Profi
 	return prof
 }
 
+// TestFailedRunKeepsPartialProfile checks that a run that faults still
+// leaves in the profile everything it counted before the fault.
+func TestFailedRunKeepsPartialProfile(t *testing.T) {
+	prog := compile(t, `
+int g[8];
+int get(int *p) { return *p; }
+int main() {
+	int s = 0;
+	for (int i = 0; i < 10; i++) {
+		s = s + get(&g[0]);
+		s = s + 10 / (5 - i);
+	}
+	print(s);
+	return 0;
+}`)
+	prof := profile.New()
+	if _, err := Run(prog, Options{CollectEdges: true, CollectAlias: true, Profile: prof}); err == nil {
+		t.Fatal("division by zero did not fail the run")
+	}
+	// get ran six times (i = 0..5) before the division at i = 5 faulted
+	if len(prof.LoadLocs) != 1 {
+		t.Fatalf("load sites = %d, want 1", len(prof.LoadLocs))
+	}
+	for site, set := range prof.LoadLocs {
+		var n uint64
+		for _, c := range set {
+			n += c
+		}
+		if n != 6 || prof.Total(site) != 6 {
+			t.Errorf("load site %d: %d observations of %d executions, want 6 of 6", site, n, prof.Total(site))
+		}
+	}
+	if len(prof.BlockCount) == 0 || len(prof.EdgeCount) == 0 {
+		t.Error("the failed run left no block or edge counts")
+	}
+}
+
 func TestAliasProfileLocSets(t *testing.T) {
 	prog := compile(t, `
 int a = 0;

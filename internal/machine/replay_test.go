@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // replayPrograms builds a small zoo of programs exercising every
@@ -168,6 +169,67 @@ func TestReplayMarshalRoundTrip(t *testing.T) {
 			t.Errorf("%s: roundtripped replay diverges:\ndirect %+v\nreplay %+v", name, direct, replayed)
 		}
 	}
+}
+
+// TestRecordedTraceHoldsNoFuncCode pins that a finished trace pins no
+// program: the compile cache keeps recorded traces as object entries,
+// and a trace holding a *FuncCode would keep its whole compiled program
+// alive for as long as the entry lives, as would a function name that
+// shares its bytes with the program (names are slices of the source).
+func TestRecordedTraceHoldsNoFuncCode(t *testing.T) {
+	codeType := reflect.TypeOf((*FuncCode)(nil))
+	for name, tc := range replayPrograms() {
+		tr, err := Record(tc.p, tc.args, Config{})
+		if err != nil {
+			t.Fatalf("%s: record: %v", name, err)
+		}
+		if path, ok := findType(reflect.ValueOf(tr), codeType, "trace"); ok {
+			t.Errorf("%s: recorded trace holds a *FuncCode at %s", name, path)
+		}
+		for _, fn := range tr.FnNames {
+			if f := tc.p.Funcs[fn]; f != nil && unsafe.StringData(f.Name) == unsafe.StringData(fn) {
+				t.Errorf("%s: trace function name %q shares the program's bytes", name, fn)
+			}
+		}
+	}
+}
+
+// findType walks v's reachable non-nil fields, slices and maps and
+// returns the path of the first value of type want.
+func findType(v reflect.Value, want reflect.Type, path string) (string, bool) {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if v.IsNil() {
+			return "", false
+		}
+		if v.Type() == want {
+			return path, true
+		}
+		return findType(v.Elem(), want, path)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if p, ok := findType(v.Field(i), want, path+"."+v.Type().Field(i).Name); ok {
+				return p, true
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if p, ok := findType(v.Index(i), want, path+"[]"); ok {
+				return p, true
+			}
+		}
+	case reflect.Map:
+		it := v.MapRange()
+		for it.Next() {
+			if p, ok := findType(it.Key(), want, path+"{key}"); ok {
+				return p, true
+			}
+			if p, ok := findType(it.Value(), want, path+"{}"); ok {
+				return p, true
+			}
+		}
+	}
+	return "", false
 }
 
 func TestUnmarshalTraceRejectsCorruptInput(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -240,7 +241,8 @@ type Trace struct {
 	// round-tripped trace replays to identical per-function counters.
 	FnNames []string
 	// fnIDs is the recording-side inverse of FnNames, keyed by code
-	// pointer. Only the single-threaded functional engine touches it.
+	// pointer. Only the single-threaded functional engine touches it,
+	// and Record drops it, so a finished trace pins no program.
 	fnIDs map[*FuncCode]int32
 }
 
@@ -253,7 +255,9 @@ func (t *Trace) fnID(f *FuncCode) int32 {
 		t.fnIDs = make(map[*FuncCode]int32)
 	}
 	id := int32(len(t.FnNames))
-	t.FnNames = append(t.FnNames, f.Name)
+	// a copy: the name may be a slice of the program's source text,
+	// which a cached trace must not keep alive
+	t.FnNames = append(t.FnNames, strings.Clone(f.Name))
 	t.fnIDs[f] = id
 	return id
 }
@@ -293,6 +297,7 @@ func Record(prog *Program, args []int64, cfg Config) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	tr.fnIDs = nil
 	return tr, nil
 }
 

@@ -228,14 +228,6 @@ func (p *Profile) RefSet(site int) LocSet {
 	return s
 }
 
-// AddExec records one dynamic execution of a reference site.
-func (p *Profile) AddExec(site int) {
-	if p.SiteTotal == nil {
-		p.SiteTotal = map[int]uint64{}
-	}
-	p.SiteTotal[site]++
-}
-
 // Total returns the dynamic execution count of a reference site (0 when
 // unknown, e.g. a version-1 profile).
 func (p *Profile) Total(site int) uint64 { return p.SiteTotal[site] }

@@ -3,6 +3,7 @@ package profile
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/ir"
@@ -41,7 +42,10 @@ type serializedV1 struct {
 }
 
 // encodeLoc renders a Loc as a stable string, naming variables against
-// prog ("" when the Loc does not resolve there).
+// prog ("" when the Loc does not resolve there). A local is named
+// "l:func:name", with "#<Sym.ID>" appended when another local of the
+// function shares its name (MiniC reuses names across sibling blocks),
+// so the encoding is injective.
 func encodeLoc(prog *ir.Program, l Loc) string {
 	if l.Kind == LocHeap {
 		return fmt.Sprintf("h:%d/%d", l.Site, l.Ctx)
@@ -53,8 +57,19 @@ func encodeLoc(prog *ir.Program, l Loc) string {
 	case f == nil:
 		return "g:" + sym.Name
 	}
-	return "l:" + f.Name + ":" + sym.Name
+	name := "l:" + f.Name + ":" + sym.Name
+	for _, s := range f.Syms {
+		if s != sym && s.Name == sym.Name && isLocalVar(s) {
+			return name + "#" + strconv.Itoa(sym.ID)
+		}
+	}
+	return name
 }
+
+// isLocalVar reports whether s is a function-scope variable a LocLocal
+// can name: a source local or parameter, not a compiler temporary or
+// an analysis-only virtual variable.
+func isLocalVar(s *ir.Sym) bool { return s.Kind == ir.SymLocal || s.Kind == ir.SymParam }
 
 // decodeLoc parses an encoded Loc against a program's symbols.
 func decodeLoc(prog *ir.Program, s string) (Loc, error) {
@@ -76,8 +91,18 @@ func decodeLoc(prog *ir.Program, s string) (Loc, error) {
 		if !ok {
 			return Loc{}, fmt.Errorf("profile: unknown function %q", fname)
 		}
+		if vname, idStr, ok := strings.Cut(vname, "#"); ok {
+			id, err := strconv.Atoi(idStr)
+			if err != nil {
+				return Loc{}, fmt.Errorf("profile: malformed local loc %q", s)
+			}
+			if sym := fn.SymByID(id); sym != nil && sym.Name == vname && isLocalVar(sym) {
+				return LocalLoc(fn, sym), nil
+			}
+			return Loc{}, fmt.Errorf("profile: unknown local %q in %q", s[2:], fname)
+		}
 		for _, sym := range fn.Syms {
-			if sym.Name == vname {
+			if sym.Name == vname && isLocalVar(sym) {
 				return LocalLoc(fn, sym), nil
 			}
 		}

@@ -178,8 +178,9 @@ func TestCorpusEndpointByteIdentical(t *testing.T) {
 		t.Fatalf("corpus response differs from local pipeline:\n%s\nvs\n%s", body, wantBytes)
 	}
 
-	// a broken source must carry the pipeline's own error string out in
-	// the error envelope (the coordinator records it as the failure)
+	// a broken source is the client's fault (400) and must carry the
+	// pipeline's own error string out in the error envelope (the
+	// coordinator records it as the failure)
 	brokenSrc := "int main( {\n"
 	_, lerr := experiments.RunCorpusFileCtx(context.Background(), experiments.CorpusFile{Name: "broken.c", Source: brokenSrc}, 0)
 	if lerr == nil {
@@ -187,7 +188,7 @@ func TestCorpusEndpointByteIdentical(t *testing.T) {
 	}
 	resp = postJSON(t, ts, "/corpus", CorpusRequest{Name: "broken.c", Source: brokenSrc})
 	body = readAll(t, resp)
-	if resp.StatusCode != http.StatusInternalServerError {
+	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("broken corpus = %d %s", resp.StatusCode, body)
 	}
 	var eb errorBody

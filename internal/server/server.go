@@ -192,6 +192,14 @@ func badRequestf(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{errBadRequest}, args...)...)
 }
 
+// clientError marks err as bad input (errBadRequest) without changing
+// its message.
+type clientError struct{ err error }
+
+func (e clientError) Error() string        { return e.err.Error() }
+func (e clientError) Unwrap() error        { return e.err }
+func (e clientError) Is(target error) bool { return target == errBadRequest }
+
 // job wraps a handler body with the whole service contract: request id,
 // draining check, admission control (429 queue-full, 503 on drain),
 // per-request timeout, panic-to-500 recovery, request logging, and the
@@ -566,6 +574,13 @@ func (s *Server) handleCorpus(ctx context.Context, r *http.Request) (any, error)
 	// with the pipeline's own error so the coordinator's failure
 	// records match a single-node run byte for byte.
 	res, err := experiments.RunCorpusFileCtx(ctx, experiments.CorpusFile{Name: req.Name, Source: req.Source}, req.Workers)
+	var srcErr *source.Error
+	if errors.As(err, &srcErr) {
+		// the client's file does not lex, parse or lower: a 400 whose
+		// message stays the pipeline's own, which the coordinator
+		// records as the file's failure
+		return nil, clientError{err}
+	}
 	if err != nil {
 		return nil, err
 	}

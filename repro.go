@@ -259,7 +259,7 @@ func frontendMaster(ctx context.Context, src string) (*ir.Program, error) {
 // the meaning of the computation changes (refinement, the interpreter's
 // collection semantics, or the serialization), which invalidates stale
 // persistent entries by construction.
-const profileCacheVersion = 2
+const profileCacheVersion = 3
 
 // profileKey is the content-addressed key of a profiling run: source
 // text, the options that shape reference-site ids and set contents
@@ -281,24 +281,45 @@ func profileKey(src string, cfg Config) cache.Key {
 // CompileCtx, CollectProfileCtx and every experiment variant share it,
 // so a sweep pays for one interpreter run per key no matter how many
 // variants it compiles, and a warm-started process pays for none.
-func profileDataCtx(ctx context.Context, src string, cfg Config) ([]byte, error) {
-	return compCache.GetBytesCtx(ctx, profileKey(src, cfg), func() ([]byte, error) {
-		profilingRuns.Add(1)
-		master, err := frontendMaster(ctx, src)
-		if err != nil {
-			return nil, err
-		}
-		prog := ir.Clone(master)
-		alias.RefineWorkers(prog, cfg.Workers)
-		prof := profile.New()
-		if _, err := interp.Run(prog, interp.Options{
-			CollectEdges: true, CollectAlias: true, Profile: prof, Args: cfg.ProfileArgs,
-			Ctx: ctx,
-		}); err != nil {
-			return nil, err
-		}
-		return profile.Marshal(prog, prof)
+//
+// When this call ran the training run, it also returns the profile it
+// collected, which equals the decode of the returned bytes; bytes that
+// came from a cache tier come with a nil profile.
+func profileDataCtx(ctx context.Context, src string, cfg Config) ([]byte, *profile.Profile, error) {
+	var fresh *profile.Profile
+	data, err := compCache.GetBytesCtx(ctx, profileKey(src, cfg), func() ([]byte, error) {
+		prof, data, err := collectProfile(ctx, src, cfg)
+		fresh = prof
+		return data, err
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return data, fresh, nil
+}
+
+// collectProfile is profileDataCtx's computation: the profile of one
+// training run and its serialization.
+func collectProfile(ctx context.Context, src string, cfg Config) (*profile.Profile, []byte, error) {
+	profilingRuns.Add(1)
+	master, err := frontendMaster(ctx, src)
+	if err != nil {
+		return nil, nil, err
+	}
+	prog := ir.Clone(master)
+	alias.RefineWorkers(prog, cfg.Workers)
+	prof := profile.New()
+	if _, err := interp.Run(prog, interp.Options{
+		CollectEdges: true, CollectAlias: true, Profile: prof, Args: cfg.ProfileArgs,
+		Ctx: ctx,
+	}); err != nil {
+		return nil, nil, err
+	}
+	data, err := profile.Marshal(prog, prof)
+	if err != nil {
+		return nil, nil, err
+	}
+	return prof, data, nil
 }
 
 // trainingError marks a failed training run in profileCtx's result:
@@ -311,20 +332,25 @@ func (e trainingError) Unwrap() error { return e.err }
 
 // profileCtx returns the decoded profile for (src, options, training
 // args). It is an in-memory object entry wrapping profileDataCtx's byte
-// entry, the way traceFor wraps the serialized trace: the bytes are
-// decoded once, against the frontend master, and every compile of the
-// key shares the result read-only. A profile names blocks and
-// variables by function index and ID, which every clone of the master
-// shares, so one decode serves them all.
+// entry, the way traceFor wraps the serialized trace. When the byte
+// entry was computed by this call, the collected profile is the object
+// itself; bytes a cache tier returned are decoded once, against the
+// frontend master. Every compile of the key shares the result
+// read-only. A profile names blocks and variables by function index and
+// ID, which every clone of the master shares, so one profile serves
+// them all.
 func profileCtx(ctx context.Context, src string, cfg Config) (*profile.Profile, error) {
 	key := profileKey(src, cfg)
 	v, err := compCache.GetObjectCtx(ctx, cache.KeyOf([]byte("profileobj"), key[:]), func() (any, error) {
-		data, err := profileDataCtx(ctx, src, cfg)
+		data, fresh, err := profileDataCtx(ctx, src, cfg)
 		if err != nil {
 			if isCtxErr(err) {
 				return nil, err
 			}
 			return nil, trainingError{err}
+		}
+		if fresh != nil {
+			return fresh, nil
 		}
 		master, err := frontendMaster(ctx, src)
 		if err != nil {
@@ -660,7 +686,8 @@ func (c *Compilation) fingerprint() [32]byte {
 // under mcfg's memory layout and resource limits, recording it on the
 // first request. A run that faults yields the same error direct
 // execution would (memoized like any other cache entry — sound because
-// the limits are part of the key).
+// the limits are part of the key). A trace this call recorded is kept
+// as the object entry; only bytes a cache tier returned are decoded.
 func (c *Compilation) traceFor(ctx context.Context, args []int64, mcfg machine.Config) (*machine.Trace, error) {
 	n := mcfg.Normalized()
 	fp := c.fingerprint()
@@ -672,16 +699,21 @@ func (c *Compilation) traceFor(ctx context.Context, args []int64, mcfg machine.C
 		traceCacheVersion, n.StackSlots, n.MaxSteps, n.MaxCallDepth)
 	key := cache.KeyOf([]byte("trace"), fp[:], argb, []byte(lim))
 	v, err := compCache.GetObjectCtx(ctx, key, func() (any, error) {
+		var fresh *machine.Trace
 		data, err := compCache.GetBytesCtx(ctx, cache.KeyOf([]byte("tracebytes"), fp[:], argb, []byte(lim)),
 			func() ([]byte, error) {
 				tr, err := machine.Record(c.Code, args, n)
 				if err != nil {
 					return nil, err
 				}
+				fresh = tr
 				return tr.Marshal(), nil
 			})
 		if err != nil {
 			return nil, err
+		}
+		if fresh != nil {
+			return fresh, nil
 		}
 		return machine.UnmarshalTrace(data)
 	})
@@ -863,7 +895,8 @@ func (c *Compilation) TotalStats() ssapre.Stats {
 // CompileCtx with the same training args — and vice versa. The cache
 // lookup and any nested frontend wait honor ctx.
 func CollectProfileCtx(ctx context.Context, src string, args []int64) ([]byte, error) {
-	return profileDataCtx(ctx, src, Config{ProfileArgs: args})
+	data, _, err := profileDataCtx(ctx, src, Config{ProfileArgs: args})
+	return data, err
 }
 
 // Reference interprets the unoptimized program and returns its result.
